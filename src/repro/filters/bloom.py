@@ -12,24 +12,26 @@ Python-level per-bit loops on the build path (`add_many` is vectorized).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_M64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; input/output uint64 arrays."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
+    """Vectorized splitmix64 finalizer; input/output uint64 arrays.
+
+    uint64 array arithmetic wraps modulo 2**64, so the ``& _M64`` masks of
+    the scalar version are implicit here (spelling them out would only
+    allocate temporaries).
+    """
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-_M64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64_scalar(x: int) -> int:
@@ -54,21 +56,25 @@ class BloomFilter:
         self.n_bits = n_bits
         # Optimal probe count k = ln(2) * bits/key, clamped like LevelDB.
         self.n_hashes = max(1, min(30, int(round(math.log(2) * bits_per_key)))) if bits_per_key else 0
-        self._bits = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
+        self._bits = np.zeros(BloomFilter.nbytes_for(n_keys, bits_per_key) // 8,
+                              dtype=np.uint64)
+
+    @staticmethod
+    def nbytes_for(n_keys: int, bits_per_key: int) -> int:
+        """Size in bytes of a filter over ``n_keys`` keys, without building it.
+
+        The single sizing formula: whole 64-bit words, at least one.
+        Metadata accounting uses it so that charged sizes never depend on
+        whether a filter has been built.
+        """
+        n_bits = max(64, n_keys * bits_per_key)
+        return (n_bits + 63) // 64 * 8
 
     @property
     def nbytes(self) -> int:
         return self._bits.nbytes
 
-    def _probes(self, keys: np.ndarray) -> Iterable[np.ndarray]:
-        """Yield one bit-index array per hash function (double hashing)."""
-        h1 = _splitmix64(keys)
-        h2 = _splitmix64(keys ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
-        n_bits = np.uint64(self.n_bits)
-        for i in range(self.n_hashes):
-            yield ((h1 + np.uint64(i) * h2) & _MASK64) % n_bits
-
-    def add_many(self, keys: Sequence[int]) -> None:
+    def add_many(self, keys: Union[Sequence[int], np.ndarray]) -> None:
         """Insert a batch of integer keys (vectorized).
 
         All ``k * n`` probe indices are produced as one broadcast matrix and
@@ -87,7 +93,7 @@ class BloomFilter:
         h1 = _splitmix64(arr)
         h2 = _splitmix64(arr ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
         steps = np.arange(self.n_hashes, dtype=np.uint64)[:, None]
-        # uint64 arithmetic wraps, matching the & _MASK64 of the scalar probe.
+        # uint64 arithmetic wraps, matching the & _M64 of the scalar probe.
         idx = ((h1 + steps * h2) % np.uint64(self.n_bits)).ravel()
         np.bitwise_or.at(self._bits, (idx >> np.uint64(6)).astype(np.intp),
                          np.uint64(1) << (idx & np.uint64(63)))
@@ -120,14 +126,15 @@ class BloomFilter:
         h1 = _splitmix64(arr)
         h2 = _splitmix64(arr ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
         steps = np.arange(self.n_hashes, dtype=np.uint64)[:, None]
-        # uint64 arithmetic wraps, matching the & _MASK64 of the scalar probe.
+        # uint64 arithmetic wraps, matching the & _M64 of the scalar probe.
         idx = (h1 + steps * h2) % np.uint64(self.n_bits)
         words = self._bits[(idx >> np.uint64(6)).astype(np.intp)]
         probe = (words >> (idx & np.uint64(63))) & np.uint64(1)
         return probe.all(axis=0)
 
     @staticmethod
-    def build(keys: Sequence[int], bits_per_key: int) -> "BloomFilter":
+    def build(keys: Union[Sequence[int], np.ndarray],
+              bits_per_key: int) -> "BloomFilter":
         f = BloomFilter(len(keys), bits_per_key)
         f.add_many(keys)
         return f

@@ -446,8 +446,11 @@ class BackgroundPool:
         Ascending class virtual time (drained seconds over class weight) --
         the class that has consumed the least weighted device share drains
         first -- with activation order as the tie-break, which keeps the
-        flush class strictly FIFO.
+        flush class strictly FIFO.  With at most one active job (every
+        single-threaded pool) there is nothing to order.
         """
+        if len(self.active) <= 1:
+            return list(self.active)
         vtime = {cls: self.class_drained_s[cls] / CLASS_WEIGHTS[cls]
                  for cls in CLASS_WEIGHTS}
         return sorted(self.active, key=lambda j: (vtime[j.klass], j.seq))

@@ -3,8 +3,14 @@
 LevelDB persists version edits to a MANIFEST file; LSA additionally relies on
 cheap metadata-only "move down" operations (§4.2.1), which are manifest edits
 rather than data rewrites.  The simulated manifest stores an opaque
-checkpoint object (the engine's serialized structure) plus an edit counter,
-and charges a small sequential write per edit.
+checkpoint object (the engine's serialized structure) plus an edit counter.
+
+Checkpoints are not charged: :meth:`Manifest.checkpoint` stores the state
+without touching the disk, and the callers that bump :attr:`Manifest.edits`
+(flush completion, rebalance, failover, follower bootstrap) only count.
+:meth:`Manifest.log_edit` would charge a flat :data:`EDIT_BYTES` sequential
+write per edit, but nothing in the write path calls it, so manifest traffic
+adds nothing to the simulated clock, write amplification or space.
 """
 
 from __future__ import annotations

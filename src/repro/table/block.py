@@ -37,7 +37,8 @@ class Sequence:
         "first_block",
         "n_blocks",
         "block_start_idx",
-        "bloom",
+        "_bloom",
+        "_bloom_bits",
         "min_key",
         "max_key",
         "min_seq",
@@ -87,8 +88,10 @@ class Sequence:
         self.max_key = records[-1][KEY]
         self.min_seq = min_seq
         self.max_seq = max_seq
-        self.bloom = BloomFilter.build([r[KEY] for r in records], bloom_bits_per_key)
-        self.metadata_bytes = self.bloom.nbytes + INDEX_ENTRY_BYTES * self.n_blocks
+        self._bloom: Optional[BloomFilter] = None
+        self._bloom_bits = bloom_bits_per_key
+        self.metadata_bytes = (BloomFilter.nbytes_for(n, bloom_bits_per_key)
+                               + INDEX_ENTRY_BYTES * self.n_blocks)
         self._keys_arr: Optional[np.ndarray] = None
         self._seqs_arr: Optional[np.ndarray] = None
         self._kinds_arr: Optional[np.ndarray] = None
@@ -105,6 +108,24 @@ class Sequence:
         i = 0 if lo_key is None else bisect.bisect_left(recs, lo_key, key=_key_of)
         j = len(recs) if hi_key is None else bisect.bisect_right(recs, hi_key, key=_key_of)
         return i, j
+
+    @property
+    def bloom(self) -> BloomFilter:
+        """The sequence's Bloom filter, built on first use and then cached.
+
+        Flushes and compactions hash no keys: a write-only workload never
+        builds a filter, and reads build only those they probe.  Building
+        is host work only: ``metadata_bytes`` was sized by
+        :meth:`BloomFilter.nbytes_for`, so no simulated figure depends on
+        whether or when the filter exists.
+        Sequences are immutable, so the cache never invalidates.
+        """
+        bloom = self._bloom
+        if bloom is None:
+            col = self._keys_arr
+            keys = col if col is not None else [r[KEY] for r in self.records]
+            bloom = self._bloom = BloomFilter.build(keys, self._bloom_bits)
+        return bloom
 
     def keys_array(self) -> Optional[np.ndarray]:
         """Cached uint64 key column (the batched block index).

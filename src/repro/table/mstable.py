@@ -24,21 +24,33 @@ from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
 from repro.check.effects.registry import observation_only
 
+#: What :meth:`MSTable.snapshot` returns: (key_size, bloom_bits_per_key,
+#: next_block, sequences).
+TableSnapshot = Tuple[int, int, int, Tuple[Sequence, ...]]
+
 
 class MSTable:
     """One on-disk node file holding one or more sorted sequences."""
 
     __slots__ = ("runtime", "file", "sequences", "next_block", "key_size",
-                 "bloom_bits_per_key", "deleted")
+                 "bloom_bits_per_key", "deleted", "data_bytes",
+                 "metadata_bytes", "n_records", "_snap")
 
     def __init__(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> None:
         self.runtime = runtime
         self.file = runtime.create_file()
+        # `sequences` and `next_block` change only in append_sequence and
+        # from_snapshot, which keep the running totals below and the
+        # memoized snapshot in step with them.
         self.sequences: List[Sequence] = []
         self.next_block = 0
         self.key_size = key_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self.deleted = False
+        self.data_bytes = 0
+        self.metadata_bytes = 0
+        self.n_records = 0
+        self._snap: Optional[TableSnapshot] = None
 
     # ------------------------------------------------------------- properties
     @property
@@ -48,18 +60,6 @@ class MSTable:
     @property
     def n_sequences(self) -> int:
         return len(self.sequences)
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(s.nbytes for s in self.sequences)
-
-    @property
-    def metadata_bytes(self) -> int:
-        return sum(s.metadata_bytes for s in self.sequences)
-
-    @property
-    def n_records(self) -> int:
-        return sum(len(s) for s in self.sequences)
 
     @property
     def min_key(self) -> Key:
@@ -95,6 +95,10 @@ class MSTable:
         )
         self.next_block += seq.n_blocks
         self.sequences.append(seq)
+        self.data_bytes += seq.nbytes
+        self.metadata_bytes += seq.metadata_bytes
+        self.n_records += len(seq)
+        self._snap = None
         debt = self.runtime.bg_write_run(
             self.file,
             seq.nbytes + seq.metadata_bytes,
@@ -119,19 +123,23 @@ class MSTable:
             self.runtime.delete_file(self.file)
 
     # --------------------------------------------------------------- recovery
-    def snapshot(self) -> Tuple[int, int, int, Tuple[Sequence, ...]]:
+    def snapshot(self) -> TableSnapshot:
         """Owned pure-data snapshot for manifest checkpoints.
 
         Sequences are immutable once built, so sharing them by reference is
         safe; the tuple pins the sequence *list* (the mutable part) and the
-        layout cursor.  No file/node references leak out.
+        layout cursor.  No file/node references leak out.  The tuple is
+        memoized until the next append, so a checkpoint reuses the
+        snapshots of every table it did not change.
         """
-        return (self.key_size, self.bloom_bits_per_key, self.next_block,
-                tuple(self.sequences))
+        snap = self._snap
+        if snap is None:
+            snap = self._snap = (self.key_size, self.bloom_bits_per_key,
+                                 self.next_block, tuple(self.sequences))
+        return snap
 
     @staticmethod
-    def from_snapshot(runtime: Runtime,
-                      snap: Tuple[int, int, int, Tuple[Sequence, ...]]) -> "MSTable":
+    def from_snapshot(runtime: Runtime, snap: TableSnapshot) -> "MSTable":
         """Rebuild a table from a :meth:`snapshot` onto a fresh file.
 
         Space accounting only -- recovery re-opens tables, it does not
@@ -142,7 +150,10 @@ class MSTable:
                         bloom_bits_per_key=bloom_bits)
         table.sequences = list(sequences)
         table.next_block = next_block
-        nbytes = sum(s.nbytes + s.metadata_bytes for s in sequences)
+        table.data_bytes = sum(s.nbytes for s in sequences)
+        table.metadata_bytes = sum(s.metadata_bytes for s in sequences)
+        table.n_records = sum(len(s) for s in sequences)
+        nbytes = table.data_bytes + table.metadata_bytes
         if nbytes:
             table.file.grow(nbytes)
         return table
