@@ -250,6 +250,25 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
     return out
 
 
+def reference_iterate(db: Any, lo_key: Any = None, hi_key: Any = None, *,
+                      snapshot: Optional[int] = None,
+                      ) -> Iterator[Tuple[object, object]]:
+    """The frozen lazy iterate: seed ``IamDB.iterate`` over the heap merge.
+
+    The same memtable/immutable snapshots and engine cursors as
+    :func:`reference_scan`, merged lazily: I/O is charged as pairs are
+    consumed, so a partly consumed iterator pays only for what it read --
+    the oracle :class:`repro.db.iterator.DbIterator` is proven
+    charge-identical against.
+    """
+    snap = db._snap_seq(snapshot)
+    streams = [list(db.memtable.iter_range(lo_key, hi_key))]
+    if db.immutable is not None:
+        streams.append(list(db.immutable.iter_range(lo_key, hi_key)))
+    streams.extend(db.engine.scan_cursors(lo_key, hi_key))
+    return _reference_merge_visible(streams, snapshot=snap, hi_key=hi_key)
+
+
 def reference_cluster_read_loop(cluster: Any, keys: Iterable[Any],
                                 ) -> List[Optional[object]]:
     """The frozen scalar cluster read: one routed RPC per key, in order."""

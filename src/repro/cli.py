@@ -67,18 +67,15 @@ from repro.bench.scale import (
 )
 from repro.common.options import HDD, IamOptions, LsaOptions, LsmOptions, SSD, StorageOptions
 from repro.db.iamdb import IamDB
+from repro.faults.crash import MATRIX_ENGINES
 from repro.workloads import YCSB_WORKLOADS, fill_seq, hash_load, run_ycsb
 
 ENGINES = ("iam", "lsa", "leveldb", "rocksdb", "flsm", "lsmtrie")
 SETUPS = {"ssd-100g": SSD_100G, "hdd-100g": HDD_100G, "hdd-1t": HDD_1T}
 
 
-def _engine_options(engine: str, threads: int, *, scheduler: str = "fair",
-                    compaction_selector: str = "provider",
-                    legacy_gate: bool = False):
-    kw = dict(key_size=KEY_SIZE, background_threads=threads,
-              scheduler=scheduler, compaction_selector=compaction_selector,
-              legacy_gate=legacy_gate)
+def _engine_options(engine: str, threads: int):
+    kw = dict(key_size=KEY_SIZE, background_threads=threads)
     if engine in ("iam", "lsa"):
         return IamOptions(**kw)
     if engine == "lsmtrie":
@@ -88,20 +85,11 @@ def _engine_options(engine: str, threads: int, *, scheduler: str = "fair",
     return LsmOptions.leveldb(**kw)
 
 
-def _scheduling_kw(args) -> dict:
-    """Scheduler/pacer knobs from the shared CLI flags (defaults when absent)."""
-    return {
-        "scheduler": getattr(args, "scheduler", "fair"),
-        "compaction_selector": getattr(args, "compaction_selector", "provider"),
-        "legacy_gate": getattr(args, "legacy_gate", False),
-    }
-
-
-def _build_db(engine: str, device: str, memory_mb: float, threads: int,
-              **scheduling) -> IamDB:
+def _build_db(engine: str, device: str, memory_mb: float,
+              threads: int) -> IamDB:
     dev = HDD if device == "hdd" else SSD
     storage = StorageOptions(device=dev, page_cache_bytes=int(memory_mb * 1e6))
-    opts = _engine_options(engine, threads, **scheduling)
+    opts = _engine_options(engine, threads)
     return IamDB(engine, engine_options=opts, storage_options=storage)
 
 
@@ -157,8 +145,7 @@ def _finish_trace(session, path: str) -> None:
 
 def cmd_load(args) -> int:
     _apply_sanitize(args)
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     session = _maybe_trace(args, db)
     injector = _maybe_faults(args, db)
     fn = fill_seq if args.sequential else hash_load
@@ -179,8 +166,7 @@ def cmd_load(args) -> int:
 def cmd_ycsb(args) -> int:
     _apply_sanitize(args)
     spec = YCSB_WORKLOADS[args.workload.upper()]
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     session = _maybe_trace(args, db)
     injector = _maybe_faults(args, db)
     hash_load(db, args.records, quiesce=False)
@@ -205,8 +191,7 @@ TRACE_WORKLOADS = ("load", "fillseq") + tuple(f"ycsb-{c}" for c in "abcdefg")
 def cmd_trace(args) -> int:
     from repro.obs import TraceConfig, attach_trace, validate_chrome_trace
     _apply_sanitize(args)
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     config = TraceConfig() if args.interval is None else TraceConfig(
         sample_interval_s=args.interval)
     session = attach_trace(db, config)
@@ -369,8 +354,7 @@ def cmd_cluster(args) -> int:
         if args.split_mb else RebalanceOptions())
     cluster = ClusterDB(ClusterOptions(
         n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads,
-                                       **_scheduling_kw(args)),
+        engine_options=_engine_options(args.engine, args.threads),
         storage_options=storage, network=NetworkOptions(**net_kwargs),
         rebalance=rebalance))
     session = attach_cluster_trace(cluster) if args.trace or args.validate \
@@ -480,8 +464,7 @@ def cmd_objstore(args) -> int:
         store_kwargs["bandwidth"] = args.store_bandwidth_mb * 1e6
     cluster = ClusterDB(ClusterOptions(
         n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads,
-                                       **_scheduling_kw(args)),
+        engine_options=_engine_options(args.engine, args.threads),
         storage_options=storage, network=NetworkOptions(),
         objstore=ObjStoreOptions(**store_kwargs),
         objstore_retain_cuts=args.retain_cuts,
@@ -598,21 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--faults", metavar="SPEC", default=None,
                         help="inject deterministic transient device faults, "
                              "e.g. rate=0.01,seed=7 or rate=0.5,ops=500:600")
-        scheduling(sp)
-
-    def scheduling(sp):
-        from repro.common.options import COMPACTION_SELECTORS, SCHEDULERS
-        sp.add_argument("--scheduler", choices=SCHEDULERS, default="fair",
-                        help="background pump order: fair per-class "
-                             "device-time accounting or the legacy "
-                             "activation-order loop")
-        sp.add_argument("--compaction-selector", choices=COMPACTION_SELECTORS,
-                        default="provider",
-                        help="which eligible level compacts first")
-        sp.add_argument("--legacy-gate", action="store_true",
-                        help="pre-scheduler write admission (cliff-edge "
-                             "slowdown bands, legacy pump order); "
-                             "byte-identical compat mode")
 
     sp = sub.add_parser("load", help="hash-load records, report amplifications")
     common(sp)
@@ -638,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--sanitize", action="store_true",
                     help="attach the runtime sanitizer too")
-    scheduling(sp)
     sp.add_argument("--ops", type=int, default=3000,
                     help="YCSB operation count (ycsb-* workloads)")
     sp.add_argument("--interval", type=float, default=None,
@@ -696,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="crash-point matrix: crash at every pipeline site, verify the "
              "durability contract after recovery")
-    sp.add_argument("--engines", nargs="+", default=["iam", "leveldb"],
+    sp.add_argument("--engines", nargs="+", default=list(MATRIX_ENGINES),
                     help="engines to run the matrix over")
     sp.add_argument("--ops", type=int, default=300,
                     help="workload operations per matrix cell")
@@ -735,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SSD_100G.memory_bytes / 1e6,
                     help="total cluster memory, split evenly across shards")
     sp.add_argument("--threads", type=int, default=1)
-    scheduling(sp)
     sp.add_argument("--net-latency-us", type=float, default=None,
                     help="per-message link latency in microseconds")
     sp.add_argument("--net-bandwidth-mb", type=float, default=None,
@@ -776,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SSD_100G.memory_bytes / 1e6,
                     help="total cluster memory, split evenly across shards")
     sp.add_argument("--threads", type=int, default=1)
-    scheduling(sp)
     sp.add_argument("--store-latency", dest="store_latency_us", type=float,
                     default=None, metavar="US",
                     help="per-request object-store latency in microseconds "

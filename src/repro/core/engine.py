@@ -37,7 +37,6 @@ from repro.check.effects.registry import effects, observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer
-    from repro.common.options import TreeOptions
 
 #: Callable returning the live snapshot sequence numbers (for merge GC).
 SnapshotProvider = Callable[[], Sequence[int]]
@@ -67,34 +66,17 @@ class EngineBase(abc.ABC):
         #: Optional runtime sanitizer (attached by the DB wrapper when the
         #: debug layer is enabled; see :mod:`repro.check.sanitizer`).
         self.sanitizer: Optional["Sanitizer"] = None
-        # Scheduling defaults (legacy-compatible) until the engine calls
-        # :meth:`_init_scheduling` with its options.
-        self.legacy_gate = False
-        self.compaction_selector = "provider"
+        # No pacing until the engine calls :meth:`_init_scheduling`.
         self._pacer: Optional[TokenBucketPacer] = None
         self._rate_estimator: Optional[RateEstimator] = None
-        self._eligible_since: Dict[int, int] = {}
-        self._eligible_tick = 0
         runtime.pool.set_provider(self.pick_background_job)
 
-    def _init_scheduling(self, options: "TreeOptions") -> None:
-        """Wire the options' scheduler/pacer/selector choices into the stack.
+    def _init_scheduling(self) -> None:
+        """Attach the token-bucket pacer and its rate estimator.
 
         Called by each engine's constructor after its options are set (the
-        pacer sizes its burst from :attr:`memtable_capacity`).  With
-        ``legacy_gate=True`` everything collapses to the pre-scheduler
-        behavior: legacy pump, provider selection, no token bucket.
+        pacer sizes its burst from :attr:`memtable_capacity`).
         """
-        pool = self.runtime.pool
-        self.legacy_gate = options.legacy_gate
-        if options.legacy_gate:
-            pool.scheduler = "legacy"
-            self.compaction_selector = "provider"
-            self._pacer = None
-            self._rate_estimator = None
-            return
-        pool.scheduler = options.scheduler
-        self.compaction_selector = options.compaction_selector
         bandwidth = self.runtime.options.device.write_bandwidth
         capacity = max(1, self.memtable_capacity)
         burst = min(capacity * PACER_BURST_FRACTION, PACER_BURST_BYTES)
@@ -209,39 +191,6 @@ class EngineBase(abc.ABC):
         self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
         return delay
 
-    def _select_level(self, candidates: Sequence[Tuple[int, float, int]],
-                      ) -> Optional[int]:
-        """Apply the configured compaction selector to eligible levels.
-
-        ``candidates`` holds ``(level, score, overdue_bytes)`` for every
-        level whose score crossed its threshold.  Returns the chosen level,
-        or None for ``provider`` order (caller keeps its historical pick).
-
-        * ``oldest-first``: the level that has been continuously eligible
-          the longest (starvation-proof; ages tracked per level).
-        * ``greedy-largest-debt``: the level with the most bytes over its
-          threshold (drains the biggest backlog first).
-        """
-        if not candidates or self.compaction_selector == "provider":
-            return None
-        if self.compaction_selector == "greedy-largest-debt":
-            return max(candidates, key=lambda c: (c[2], c[1], -c[0]))[0]
-        # oldest-first: age levels from the moment they become eligible;
-        # a level that drops below threshold loses its age.
-        live = {c[0] for c in candidates}
-        for level in [lv for lv in self._eligible_since if lv not in live]:
-            del self._eligible_since[level]
-        for level in sorted(live):
-            if level not in self._eligible_since:
-                self._eligible_since[level] = self._eligible_tick
-                self._eligible_tick += 1
-        return min(live, key=lambda lv: (self._eligible_since[lv], lv))
-
-    def _reset_selector_state(self) -> None:
-        """Forget selector aging (crash-restore rebuilds the structure)."""
-        self._eligible_since.clear()
-        self._eligible_tick = 0
-
     # ------------------------------------------------------------------ write
     @property
     @abc.abstractmethod
@@ -252,15 +201,25 @@ class EngineBase(abc.ABC):
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable."""
 
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def write_gate(self, nbytes: int) -> float:
-        """Apply engine-specific slowdowns/stops before a user write.
+        """Admit a user write: fault degradation, token pacing, L0 backstop.
 
-        ``nbytes`` is the write's encoded size (slowdowns pace by bytes).
+        ``nbytes`` is the write's encoded size (pacing is by bytes).
         Returns the simulated latency spent gated (0.0 when unobstructed).
         """
         lat = self._fault_gate(nbytes)
         lat += self._token_pace(nbytes)
+        lat += self._l0_stop_backstop(nbytes)
         return lat
+
+    def _l0_stop_backstop(self, nbytes: int) -> float:
+        """Hard stall while the engine's flush target is full.
+
+        Engines with an L0 file-count stop trigger override this; the base
+        has no such limit and returns 0.0.
+        """
+        return 0.0
 
     # ------------------------------------------------------------- background
     @abc.abstractmethod
@@ -319,17 +278,16 @@ class EngineBase(abc.ABC):
         return latencies
 
     @observation_only
+    @abc.abstractmethod
     def scan_plan(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Optional[List[object]]:
-        """Stream plan for the batched scan assembler, or None.
+                  hi_key: Optional[Key]) -> List[object]:
+        """Stream plan for the scan assembler and the DB iterator.
 
-        None means "unsupported": the DB falls back to the scalar
-        heap-merge path over :meth:`scan_cursors`.  Engines that support
-        batched scans return a list of :mod:`repro.table.scan` stream
-        states, one per independently-seeking component, in the same order
-        as :meth:`scan_cursors`.
+        A list of :mod:`repro.table.scan` stream states, one per
+        independently-seeking component, in the same order as
+        :meth:`scan_cursors`.  Engines without range reads raise
+        :class:`repro.lsm.lsmtrie.ScansUnsupportedError`.
         """
-        return None
 
     @abc.abstractmethod
     def scan_runs(self, lo_key: Optional[Key],
@@ -342,9 +300,11 @@ class EngineBase(abc.ABC):
         """Lazily-charging sorted iterators covering [lo, hi] (inclusive).
 
         One iterator per independently-seeking component (each L0 file, each
-        deeper level); the DB's merging iterator combines them.  I/O is
-        charged -- with read-ahead -- as records are consumed, so a
-        limit-bounded scan pays only for what it reads.
+        deeper level), charging I/O -- with read-ahead -- as records are
+        consumed.  The DB never reads through these: its scans and
+        iterators run on :meth:`scan_plan`.  They feed only the frozen
+        oracle :func:`repro.bench.reference.reference_scan` (and its lazy
+        twin ``reference_iterate``) and the engine-internals tests.
         """
 
     # ------------------------------------------------------------- inspection

@@ -72,7 +72,7 @@ class LsaTree(EngineBase):
         #: Largest child fan-out any flush actually wrote into -- the paper's
         #: "worst write case" metric (Table 2); splits keep it near 2t.
         self.max_flush_fanout = 0
-        self._init_scheduling(options)
+        self._init_scheduling()
 
     # ------------------------------------------------------------------ write
     @property
@@ -595,12 +595,11 @@ class LsaTree(EngineBase):
         """Batched scan streams: one node chain per level, cursor order."""
         plan: List[object] = []
         for level in range(1, self.n + 1):
-            nodes = [nd for nd in level_overlapping(self.levels[level], lo_key, hi_key)
+            nodes = [nd.table.seq_pairs
+                     for nd in level_overlapping(self.levels[level], lo_key, hi_key)
                      if not nd.is_empty]
             if nodes:
-                plan.append(chain_stream(self.runtime,
-                                         [nd.table for nd in nodes],
-                                         lo_key, hi_key))
+                plan.append(chain_stream(self.runtime, nodes, lo_key, hi_key))
         return plan
 
     def scan_runs(self, lo_key: Optional[Key],

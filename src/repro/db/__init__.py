@@ -16,7 +16,6 @@ recovery) over any of the engines -- ``iam``, ``lsa``, ``leveldb``,
 
 from repro.db.batch import WriteBatch
 from repro.db.iamdb import IamDB
-from repro.db.iterator import merge_visible
 from repro.db.snapshot import Snapshot
 
-__all__ = ["IamDB", "Snapshot", "WriteBatch", "merge_visible"]
+__all__ = ["IamDB", "Snapshot", "WriteBatch"]

@@ -21,7 +21,7 @@ one of the two stall sources the tail-latency experiments measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.common.options import (
@@ -46,7 +46,7 @@ from repro.common.records import (
 from repro.core.engine import EngineBase
 from repro.core.iam import IamTree
 from repro.core.lsa import LsaTree
-from repro.db.iterator import DbIterator, merge_visible
+from repro.db.iterator import DbIterator
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -206,21 +206,29 @@ class IamDB:
 
     def iterate(self, lo_key: Optional[Key] = None,
                 hi_key: Optional[Key] = None, *,
-                snapshot: SnapshotLike = None) -> Iterator[Tuple[Key, object]]:
+                snapshot: SnapshotLike = None) -> DbIterator:
         """Lazy ordered iterator over ``(key, value)`` pairs, lo <= key < hi.
 
         Unlike :meth:`scan`, results stream as they are consumed -- I/O is
         charged with read-ahead while you iterate.  The view is fixed at call
         time (plus the given snapshot); interleaving writes with iteration is
-        not supported.
+        not supported.  The returned :class:`~repro.db.iterator.DbIterator`
+        also supports :meth:`~repro.db.iterator.DbIterator.seek`.
         """
         self._check_open()
-        snap = self._snap_seq(snapshot)
-        streams: List = [list(self.memtable.iter_range(lo_key, hi_key))]
+        return DbIterator(self._read_streams(lo_key, hi_key), lo_key, hi_key,
+                          self._snap_seq(snapshot))
+
+    def _read_streams(self, lo_key: Optional[Key],
+                      hi_key: Optional[Key]) -> List[object]:
+        """Pull states of a read: memtable, immutable memtable, engine plan."""
+        streams: List[object] = [
+            list_stream(list(self.memtable.iter_range(lo_key, hi_key)))]
         if self.immutable is not None:
-            streams.append(list(self.immutable.iter_range(lo_key, hi_key)))
-        streams.extend(self.engine.scan_cursors(lo_key, hi_key))
-        return merge_visible(streams, snapshot=snap, hi_key=hi_key)
+            streams.append(list_stream(
+                list(self.immutable.iter_range(lo_key, hi_key))))
+        streams.extend(self.engine.scan_plan(lo_key, hi_key))
+        return streams
 
     def _write(self, rec: RecordTuple) -> None:
         runtime = self.runtime
@@ -396,30 +404,14 @@ class IamDB:
         runtime = self.runtime
         t0 = runtime.clock.now
         snap = self._snap_seq(snapshot)
-        plan = self.engine.scan_plan(lo_key, hi_key)
-        if plan is not None:
-            # Batched assembler: same records, same charge order as the
-            # heap-merge path below, without the per-record generator dance.
-            streams = [list_stream(list(self.memtable.iter_range(lo_key, hi_key)))]
-            if self.immutable is not None:
-                streams.append(list_stream(
-                    list(self.immutable.iter_range(lo_key, hi_key))))
-            streams.extend(plan)
-            # Fast path: plan the whole merge vectorized (one lexsort over
-            # the cached key columns + an explicit charge-event replay);
-            # falls back to the pull-based mirror on unsupported shapes.
-            out = planned_scan(streams, snapshot=snap, hi_key=hi_key,
-                               limit=limit)
-            if out is None:
-                out = merge_scan(streams, snapshot=snap, hi_key=hi_key,
-                                 limit=limit)
-        else:
-            streams: List = [list(self.memtable.iter_range(lo_key, hi_key))]
-            if self.immutable is not None:
-                streams.append(list(self.immutable.iter_range(lo_key, hi_key)))
-            streams.extend(self.engine.scan_cursors(lo_key, hi_key))
-            out = list(merge_visible(streams, snapshot=snap, hi_key=hi_key,
-                                     limit=limit))
+        streams = self._read_streams(lo_key, hi_key)
+        # Plan the whole merge vectorized (one lexsort over the cached key
+        # columns + an explicit charge-event replay); keys that are not
+        # uint64 fall back to the pull-based assembler over the same,
+        # untouched streams.
+        out = planned_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
+        if out is None:
+            out = merge_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
         runtime.pump()
         elapsed = runtime.clock.now - t0
         self.metrics.record_latency("scan", elapsed)
@@ -430,14 +422,8 @@ class IamDB:
     def iterator(self, lo_key: Optional[Key] = None,
                  hi_key: Optional[Key] = None, *,
                  snapshot: SnapshotLike = None) -> DbIterator:
-        """A seekable ordered iterator (see :class:`~repro.db.iterator.DbIterator`).
-
-        Like :meth:`iterate` but with :meth:`~repro.db.iterator.DbIterator.seek`
-        repositioning through the cached per-sequence key columns instead of
-        rebuilding the cursor stack.
-        """
-        self._check_open()
-        return DbIterator(self, lo_key, hi_key, self._snap_seq(snapshot))
+        """A seekable ordered iterator: the same object :meth:`iterate` returns."""
+        return self.iterate(lo_key, hi_key, snapshot=snapshot)
 
     # -------------------------------------------------------------- snapshots
     def snapshot(self) -> Snapshot:

@@ -1,66 +1,19 @@
-"""The merging iterator: snapshot-consistent visibility over sorted streams.
+"""The seekable DB iterator: snapshot-consistent visibility over a scan plan.
 
-Scans merge the memtable, the immutable memtable and one cursor per
+Reads merge the memtable, the immutable memtable and one stream per
 independently-seeking on-disk component (§5.2: "a scan checks memtable,
 immutable memtable and all sequences in a node in every on-disk level and
 merges them").  Every stream yields records in (key asc, seq desc) order;
-this module collapses them to the newest visible version per key, elides
-tombstones, and applies bound/limit cut-offs.
+the iterator collapses them to the newest visible version per key, elides
+tombstones, and stops at ``hi_key``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.common.records import (
-    DELETE,
-    KEY,
-    KIND,
-    Key,
-    RecordTuple,
-    SEQ,
-    VALUE,
-    sort_key,
-)
-from repro.table.scan import MergeScanner, list_stream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.iamdb import IamDB
-
-
-def merge_visible(streams: List[Iterable[RecordTuple]], *,
-                  snapshot: Optional[int] = None,
-                  hi_key: Optional[Key] = None,
-                  limit: Optional[int] = None) -> Iterator[Tuple[object, object]]:
-    """Yield ``(key, value)`` pairs visible at ``snapshot``.
-
-    ``hi_key`` is exclusive; ``limit`` caps the number of yielded pairs.
-    Tombstoned keys are skipped (they still consume nothing from the limit).
-    """
-    live = [s for s in streams if s is not None]
-    if not live:
-        return
-    merged = live[0] if len(live) == 1 else heapq.merge(*live, key=sort_key)
-    served_key = _sentinel = object()
-    count = 0
-    for rec in merged:
-        key = rec[KEY]
-        if hi_key is not None and key >= hi_key:
-            break
-        if key is served_key or key == served_key:
-            continue
-        if snapshot is not None and rec[SEQ] > snapshot:
-            # Invisible version; an older visible one may follow for this key.
-            continue
-        served_key = key
-        if rec[KIND] == DELETE:
-            continue
-        yield (key, rec[VALUE])
-        count += 1
-        if limit is not None and count >= limit:
-            break
-
+from repro.common.records import DELETE, KEY, KIND, Key, SEQ, VALUE
+from repro.table.scan import MergeScanner
 
 _SENTINEL = object()
 
@@ -68,41 +21,27 @@ _SENTINEL = object()
 class DbIterator:
     """Seekable ordered iterator over ``(key, value)`` pairs.
 
-    The view is fixed at creation time (plus the given snapshot), exactly
-    like :meth:`repro.db.iamdb.IamDB.iterate`.  On engines with a batched
-    scan plan, :meth:`seek` repositions the pull states through the cached
-    per-sequence key columns (one bisect per stream) instead of tearing the
-    cursor stack down and re-running the per-level walks; consumed blocks
-    are re-touched on the way back through, which the page cache absorbs.
-    Engines without a plan fall back to rebuilding the scalar merge.
+    ``streams`` are the read's pull states (memtable lists, then the
+    engine's scan plan), built by :meth:`repro.db.iamdb.IamDB.iterate`, so
+    the view is fixed at creation time (plus the given snapshot).  Records
+    are pulled one at a time, charging I/O with read-ahead as they are
+    consumed.  :meth:`seek` repositions the pull states (one bisect per
+    stream) instead of rebuilding the plan; consumed blocks are re-touched
+    on the way back through, which the page cache absorbs.
     """
 
-    def __init__(self, db: "IamDB", lo_key: Optional[Key],
+    def __init__(self, streams: List[object], lo_key: Optional[Key],
                  hi_key: Optional[Key], snapshot: Optional[int]) -> None:
-        self._db = db
         self._lo_key = lo_key
         self._hi_key = hi_key
         self._snapshot = snapshot
         self._served: object = _SENTINEL
-        plan = db.engine.scan_plan(lo_key, hi_key)
-        if plan is None:
-            self._scanner: Optional[MergeScanner] = None
-            self._fallback = db.iterate(lo_key, hi_key, snapshot=snapshot)
-        else:
-            streams = [list_stream(list(db.memtable.iter_range(lo_key, hi_key)))]
-            if db.immutable is not None:
-                streams.append(list_stream(
-                    list(db.immutable.iter_range(lo_key, hi_key))))
-            streams.extend(plan)
-            self._scanner = MergeScanner(streams)
-            self._fallback = None
+        self._scanner = MergeScanner(streams)
 
     def __iter__(self) -> "DbIterator":
         return self
 
     def __next__(self) -> Tuple[Key, object]:
-        if self._scanner is None:
-            return next(self._fallback)
         scanner = self._scanner
         hi_key = self._hi_key
         snapshot = self._snapshot
@@ -133,10 +72,6 @@ class DbIterator:
         if self._lo_key is not None and target < self._lo_key:
             target = self._lo_key
         self._served = _SENTINEL
-        if self._scanner is None:
-            self._fallback = self._db.iterate(target, self._hi_key,
-                                              snapshot=self._snapshot)
-            return
         for stream in self._scanner.streams:
             stream.reseek(target)
         self._scanner.reset()

@@ -129,6 +129,10 @@ class CrashPoints:
 #: that keys are overwritten and combined (mid-combine coverage).
 _KEYSPACE = 2000
 
+#: Engines the matrix runs by default: every engine :func:`_tiny_db` builds
+#: (all but the hash-only LSM-trie).
+MATRIX_ENGINES: Tuple[str, ...] = ("iam", "lsa", "leveldb", "rocksdb", "flsm")
+
 
 def _tiny_db(engine: str, *, sanitize: bool = True) -> Any:
     from repro.common.options import IamOptions, LsmOptions, SSD, StorageOptions
@@ -365,7 +369,7 @@ def _run_case(engine: str, ops: Sequence[Op], site: str, occurrence: int,
     return case
 
 
-def run_crash_matrix(engines: Sequence[str] = ("iam", "leveldb"), *,
+def run_crash_matrix(engines: Sequence[str] = MATRIX_ENGINES, *,
                      n_ops: int = 400, per_site: int = 2, seed: int = 1,
                      torn_variants: Sequence[int] = (0, 4),
                      sanitize: bool = True) -> Dict[str, Any]:

@@ -29,10 +29,10 @@ from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, sort_key
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
-from repro.storage.pacing import degraded_extra_delay_s
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
+from repro.table.scan import chain_stream
 from repro.check.effects.registry import effects, observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
@@ -70,7 +70,7 @@ class FlsmEngine(EngineBase):
         self.level_bytes: List[int] = [0] * n
         self._busy_levels: set = set()
         self.compactions = 0
-        self._init_scheduling(options)
+        self._init_scheduling()
 
     # ------------------------------------------------------------------ write
     @property
@@ -90,32 +90,6 @@ class FlsmEngine(EngineBase):
             return debt
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def write_gate(self, nbytes: int) -> float:
-        if self.legacy_gate:
-            return self._legacy_write_gate(nbytes)
-        lat = self._fault_gate(nbytes)
-        lat += self._token_pace(nbytes)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _legacy_write_gate(self, nbytes: int) -> float:
-        """Pre-scheduler write admission: cliff-edge band (byte-identical)."""
-        opts = self.options
-        lat = self._fault_gate(nbytes)
-        n0 = len(self.guards[0][0].tables)
-        if n0 >= opts.l0_slowdown_trigger:
-            bw = self.runtime.disk.profile.write_bandwidth
-            d = degraded_extra_delay_s(nbytes, bw, opts.delayed_write_fraction)
-            self.runtime.clock.advance(d)
-            lat += d
-            self.runtime.metrics.add_gate_delay("slowdown:l0", d)
-            if self.runtime.tracer.enabled:
-                self._trace("gate", "slowdown:l0", delay_s=d, l0_files=n0)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def _l0_stop_backstop(self, nbytes: int) -> float:
@@ -141,11 +115,11 @@ class FlsmEngine(EngineBase):
         return lat
 
     def _pace_pressure(self) -> bool:
-        """Pace when L0's fragment count crosses the legacy slowdown band."""
+        """Pace when L0's fragment count crosses the slowdown trigger."""
         return len(self.guards[0][0].tables) >= self.options.l0_slowdown_trigger
 
     def _pace_rate(self, sustainable: float) -> float:
-        """Ramp from the legacy band rate toward the measured sustainable
+        """Ramp from the slowdown-band rate toward the measured sustainable
         rate as L0's fragment count approaches the stop trigger (same
         policy as the leveled engine, keyed on guard-0 fragments)."""
         opts = self.options
@@ -177,14 +151,8 @@ class FlsmEngine(EngineBase):
                 candidates.append((i, score))
         if not candidates:
             return self._pick_bottom_merge()
-        chosen = self._select_level(
-            [(i, sc, max(0, self.level_bytes[i] - self._level_threshold(i)))
-             for i, sc in candidates])
-        if chosen is None:
-            # Provider order: highest score, lowest level on ties.
-            level = max(candidates, key=lambda c: c[1])[0]
-        else:
-            level = chosen
+        # Highest score, lowest level on ties.
+        level = max(candidates, key=lambda c: c[1])[0]
         self._busy_levels.add(level)
         self._busy_levels.add(level + 1)
 
@@ -345,6 +313,25 @@ class FlsmEngine(EngineBase):
                     runs.extend(table_runs)
         return runs, latency
 
+    @observation_only
+    def scan_plan(self, lo_key, hi_key) -> List[object]:
+        """Batched scan streams: one guard chain per level, cursor order.
+
+        Each chain node is one guard: the sequences of its fragments that
+        overlap [lo, hi], filtered exactly as :meth:`_level_cursor` does.
+        """
+        plan: List[object] = []
+        for level in range(self.options.max_levels):
+            nodes = []
+            for g in self.guards[level]:
+                node = [pair for t in self._live_tables(g, lo_key, hi_key)
+                        for pair in t.seq_pairs]
+                if node:
+                    nodes.append(node)
+            if nodes:
+                plan.append(chain_stream(self.runtime, nodes, lo_key, hi_key))
+        return plan
+
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
         for level in range(self.options.max_levels):
@@ -354,11 +341,16 @@ class FlsmEngine(EngineBase):
         return cursors
 
     @staticmethod
-    def _level_cursor(guards: List[_Guard], lo_key, hi_key):
+    def _live_tables(g: _Guard, lo_key, hi_key) -> List[MSTable]:
+        """The guard's fragments whose key range overlaps [lo, hi]."""
+        return [t for t in g.tables
+                if not ((lo_key is not None and t.max_key < lo_key)
+                        or (hi_key is not None and t.min_key > hi_key))]
+
+    @classmethod
+    def _level_cursor(cls, guards: List[_Guard], lo_key, hi_key):
         for g in guards:
-            live = [t for t in g.tables
-                    if not ((lo_key is not None and t.max_key < lo_key)
-                            or (hi_key is not None and t.min_key > hi_key))]
+            live = cls._live_tables(g, lo_key, hi_key)
             if not live:
                 continue
             if len(live) == 1:
@@ -408,7 +400,6 @@ class FlsmEngine(EngineBase):
             for g in lvl:
                 for t in g.tables:
                     t.delete()
-        self._reset_selector_state()
         if state is None:
             n = self.options.max_levels
             self.guards = [[_Guard(None)] for _ in range(n)]

@@ -30,7 +30,6 @@ from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, encoded_size
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
-from repro.storage.pacing import degraded_extra_delay_s
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
@@ -55,7 +54,7 @@ class LeveledLsm(EngineBase):
         self.flushes = 0
         self.compactions = 0
         self.trivial_moves = 0
-        self._init_scheduling(options)
+        self._init_scheduling()
 
     # ------------------------------------------------------------------ write
     @property
@@ -80,51 +79,9 @@ class LeveledLsm(EngineBase):
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
 
-    def _slowdown_delay(self, nbytes: int) -> float:
-        """Pace a write to the delayed rate (RocksDB's delayed_write_rate)."""
-        bw = self.runtime.disk.profile.write_bandwidth
-        frac = self.options.delayed_write_fraction
-        return degraded_extra_delay_s(nbytes, bw, frac)
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def write_gate(self, nbytes: int) -> float:
-        if self.legacy_gate:
-            return self._legacy_write_gate(nbytes)
-        # Stability scheduler: smooth token-bucket pacing at the measured
-        # sustainable rate replaces the cliff-edge slowdown bands; the hard
-        # L0 stop survives only as a rarely-hit backstop.
-        lat = self._fault_gate(nbytes)
-        lat += self._token_pace(nbytes)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _legacy_write_gate(self, nbytes: int) -> float:
-        """Pre-scheduler write admission: cliff-edge bands (byte-identical)."""
-        opts = self.options
-        lat = self._fault_gate(nbytes)
-        # Soft gate: RocksDB-style delayed writes on pending compaction debt.
-        if opts.pending_compaction_soft_bytes:
-            if self._pending_compaction_bytes() > opts.pending_compaction_soft_bytes:
-                d = self._slowdown_delay(nbytes)
-                self.runtime.clock.advance(d)
-                lat += d
-                self.runtime.metrics.bump("slowdown:debt")
-                self.runtime.metrics.add_gate_delay("slowdown:debt", d)
-                if self.runtime.tracer.enabled:
-                    self._trace("gate", "slowdown:debt", delay_s=d)
-        # L0 slowdown: pace writes while in the slowdown band.
-        n0 = len(self.levels[0])
-        if opts.l0_slowdown_trigger <= n0 < opts.l0_stop_trigger:
-            d = self._slowdown_delay(nbytes)
-            self.runtime.clock.advance(d)
-            lat += d
-            self.runtime.metrics.bump("slowdown:l0")
-            self.runtime.metrics.add_gate_delay("slowdown:l0", d)
-            if self.runtime.tracer.enabled:
-                self._trace("gate", "slowdown:l0", delay_s=d, l0_files=n0)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
+    #: The shared gate, bound on this class as well: the per-layer tracer
+    #: (``perfbench/trace.py``) wraps methods a class defines itself.
+    write_gate = EngineBase.write_gate
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def _l0_stop_backstop(self, nbytes: int) -> float:
@@ -152,7 +109,7 @@ class LeveledLsm(EngineBase):
         return lat
 
     def _pace_pressure(self) -> bool:
-        """Pace when L0 or pending debt crosses its legacy slowdown point.
+        """Pace when L0 or pending debt crosses its slowdown trigger.
 
         Engaging earlier (at the compaction trigger) over-paces: YCSB's
         read-heavy phases drain debt through granted idle time on their
@@ -166,11 +123,11 @@ class LeveledLsm(EngineBase):
         return bool(soft and self._pending_compaction_bytes() > soft)
 
     def _pace_rate(self, sustainable: float) -> float:
-        """Ramp the brake from the legacy band strength to the measured rate.
+        """Ramp the brake from the slowdown-band strength to the measured rate.
 
         At the slowdown trigger the bucket admits at
-        ``bandwidth * delayed_write_fraction`` -- exactly the legacy band's
-        effective rate, but smooth (burst-absorbed, no on/off cliff).  As
+        ``bandwidth * delayed_write_fraction`` -- the rate of a LevelDB /
+        RocksDB slowdown band, but smooth (burst-absorbed, no on/off cliff).  As
         L0 climbs toward the stop trigger (or debt doubles its soft
         limit), the admitted rate ramps linearly down to the estimator's
         sustainable rate, floored at ``delayed_write_fraction`` of the
@@ -214,27 +171,13 @@ class LeveledLsm(EngineBase):
                 scores.append((self.level_bytes[i] / opts.level_target_bytes(i), i))
         return scores
 
-    def _overdue_bytes(self, level: int) -> int:
-        """Bytes past the level's compaction threshold (selector debt)."""
-        opts = self.options
-        if level == 0:
-            over = len(self.levels[0]) - opts.l0_compaction_trigger
-            return max(0, over) * opts.file_bytes
-        return max(0, self.level_bytes[level] - opts.level_target_bytes(level))
-
     def pick_background_job(self) -> Optional[BackgroundJob]:
         scores = self._scores()
         if not scores:
             return None
-        eligible = [(lvl, sc) for sc, lvl in scores if sc >= 1.0]
-        if not eligible:
+        score, level = max(scores)  # highest score wins
+        if score < 1.0:
             return None
-        chosen = self._select_level(
-            [(lvl, sc, self._overdue_bytes(lvl)) for lvl, sc in eligible])
-        if chosen is None:
-            score, level = max(scores)  # provider order: highest score wins
-        else:
-            level = chosen
         self._busy_levels.add(level)
         self._busy_levels.add(level + 1)
 
@@ -499,7 +442,9 @@ class LeveledLsm(EngineBase):
             hi = lst[-1].max_key if hi_key is None else hi_key
             tables = self._overlapping(level, lo, hi)
             if tables:
-                plan.append(chain_stream(self.runtime, tables, lo_key, hi_key))
+                plan.append(chain_stream(self.runtime,
+                                         [t.seq_pairs for t in tables],
+                                         lo_key, hi_key))
         return plan
 
     def _find_table(self, level: int, key) -> Optional[MSTable]:
@@ -628,7 +573,6 @@ class LeveledLsm(EngineBase):
         for lst in self.levels:
             for t in lst:
                 t.delete()
-        self._reset_selector_state()
         n = self.options.max_levels
         if state is None:
             self.levels = [[] for _ in range(n)]

@@ -46,6 +46,9 @@ class ScansUnsupportedError(ReproError):
     """LSM-trie stores data in hash order: range scans are impossible."""
 
 
+NO_SCANS = "LSM-trie is hash-based and does not support scans (Table 2)"
+
+
 def trie_key(key) -> int:
     """The 64-bit hash a record is placed by."""
     return splitmix64(hash(key) & 0xFFFFFFFFFFFFFFFF)
@@ -116,7 +119,7 @@ class LsmTrieEngine(EngineBase):
         self.root = _TrieNode(0)
         self.flushes = 0
         self.spills = 0
-        self._init_scheduling(options)
+        self._init_scheduling()
 
     # ------------------------------------------------------------------ write
     @property
@@ -217,13 +220,15 @@ class LsmTrieEngine(EngineBase):
                     return (p.orig_key, trec[SEQ], p.kind, p.value), latency
         return None, latency
 
+    @observation_only
+    def scan_plan(self, lo_key, hi_key):
+        raise ScansUnsupportedError(NO_SCANS)
+
     def scan_runs(self, lo_key, hi_key):
-        raise ScansUnsupportedError(
-            "LSM-trie is hash-based and does not support scans (Table 2)")
+        raise ScansUnsupportedError(NO_SCANS)
 
     def scan_cursors(self, lo_key, hi_key):
-        raise ScansUnsupportedError(
-            "LSM-trie is hash-based and does not support scans (Table 2)")
+        raise ScansUnsupportedError(NO_SCANS)
 
     # ------------------------------------------------------------- inspection
     def _walk(self):

@@ -7,13 +7,13 @@ This module rolls those reasons up into a small fixed set of **blame
 classes** so timelines, ``stats()`` and the trace summary can answer "who
 ate my throughput?" without a per-reason legend:
 
-* ``write-gate``  -- soft admission pacing: debt/L0 slowdowns and the
+* ``write-gate``  -- soft admission slowdowns ("slowdown:<band>") and the
   fault-injection degraded gate.  These are *gate delays* (the write is
   admitted late, the clock advances inline), tracked separately from hard
   stalls in :class:`~repro.metrics.amplification.MetricsRegistry`.
 * ``pacing``      -- token-bucket admission at the sustainable ingest rate
   ("pace:<mechanism>"); the stability scheduler's smooth replacement for
-  the cliff-edge slowdown bands.
+  LevelDB/RocksDB's cliff-edge slowdown bands.
 * ``flush-wait``  -- blocked on a memtable flush ("memtable-rotation",
   "explicit-flush").
 * ``l0-stop``     -- the hard L0 write stop (leveled engines).

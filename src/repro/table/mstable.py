@@ -34,14 +34,14 @@ class MSTable:
 
     __slots__ = ("runtime", "file", "sequences", "next_block", "key_size",
                  "bloom_bits_per_key", "deleted", "data_bytes",
-                 "metadata_bytes", "n_records", "_snap")
+                 "metadata_bytes", "n_records", "_snap", "seq_pairs")
 
     def __init__(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> None:
         self.runtime = runtime
         self.file = runtime.create_file()
         # `sequences` and `next_block` change only in append_sequence and
         # from_snapshot, which keep the running totals below and the
-        # memoized snapshot in step with them.
+        # memoized snapshot and ``seq_pairs`` in step with them.
         self.sequences: List[Sequence] = []
         self.next_block = 0
         self.key_size = key_size
@@ -51,6 +51,10 @@ class MSTable:
         self.metadata_bytes = 0
         self.n_records = 0
         self._snap: Optional[TableSnapshot] = None
+        #: ``(file_id, sequence)`` per sequence: this table as a scan-plan
+        #: chain node (see :mod:`repro.table.scan`).  A plain attribute so
+        #: a scan over an unchanged table allocates nothing for it.
+        self.seq_pairs: Tuple[Tuple[int, Sequence], ...] = ()
 
     # ------------------------------------------------------------- properties
     @property
@@ -99,6 +103,7 @@ class MSTable:
         self.metadata_bytes += seq.metadata_bytes
         self.n_records += len(seq)
         self._snap = None
+        self.seq_pairs += ((self.file.file_id, seq),)
         debt = self.runtime.bg_write_run(
             self.file,
             seq.nbytes + seq.metadata_bytes,
@@ -149,6 +154,8 @@ class MSTable:
         table = MSTable(runtime, key_size=key_size,
                         bloom_bits_per_key=bloom_bits)
         table.sequences = list(sequences)
+        fid = table.file.file_id
+        table.seq_pairs = tuple((fid, s) for s in sequences)
         table.next_block = next_block
         table.data_bytes = sum(s.nbytes for s in sequences)
         table.metadata_bytes = sum(s.metadata_bytes for s in sequences)

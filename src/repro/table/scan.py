@@ -1,11 +1,13 @@
 """Batched scan assembly: a charge-order mirror of the scalar merge path.
 
-The scalar scan pipeline is ``heapq.merge`` over lazily-charging cursors fed
-into :func:`repro.db.iterator.merge_visible`.  Everything observable about
-that pipeline -- the simulated clock, the page-cache state, the metrics --
-flows through the ``fg_read_blocks`` calls the sequence cursors issue, so a
-batched assembler is *state-identical* exactly when it issues the same
-charges in the same order and yields the same visible records.
+The scalar scan pipeline -- frozen as the oracle
+:func:`repro.bench.reference.reference_scan` -- is ``heapq.merge`` over the
+engines' lazily-charging ``scan_cursors`` fed into a visibility filter.
+Everything observable about that pipeline -- the simulated clock, the
+page-cache state, the metrics -- flows through the ``fg_read_blocks`` calls
+the sequence cursors issue, so a batched assembler is *state-identical*
+exactly when it issues the same charges in the same order and yields the
+same visible records.
 
 This module rebuilds the pipeline as explicit pull states instead of stacked
 generators:
@@ -13,9 +15,13 @@ generators:
 * :class:`_SeqState` mirrors :meth:`repro.table.block.Sequence.cursor`
   record for record and charge for charge (same read-ahead chunking).
 * :class:`_ChainState` mirrors the per-level ``yield from`` chain over node
-  cursors; multi-sequence nodes get a :class:`_RawMerge`, the lazy mirror of
-  the ``heapq.merge`` inside :meth:`repro.table.mstable.MSTable.cursor`.
-* :func:`merge_scan` mirrors ``merge_visible`` over the top-level streams,
+  cursors.  A chain node is a list of ``(file_id, Sequence)`` pairs: one
+  table's sequences (:attr:`repro.table.mstable.MSTable.seq_pairs`) or
+  every live fragment of an FLSM guard.  Multi-sequence nodes get a
+  :class:`_RawMerge`, the lazy mirror of the ``heapq.merge`` inside
+  :meth:`repro.table.mstable.MSTable.cursor` (and of FLSM's merge of its
+  guard's fragment cursors, which orders the same records the same way).
+* :func:`merge_scan` mirrors the visibility filter over the top-level streams,
   with one structural speedup: while one stream's keys stay strictly below
   every other head, consecutive pulls must come from that stream (unique
   ``(key, seq)`` pairs make sort-key ties impossible), so the assembler
@@ -24,8 +30,9 @@ generators:
   no other stream is pulled, so the charge order is untouched.
 
 :class:`MergeScanner` exposes the same machinery one record at a time for
-:class:`repro.db.iterator.DbIterator` (``seek`` repositions the states via
-the cached per-sequence key columns instead of re-running bisect walks).
+:class:`repro.db.iterator.DbIterator` (``seek`` repositions each chain via
+its cached node fence column and each memtable list by bisect, instead of
+re-running the engine's per-level walks).
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ _SENTINEL = object()
 
 
 class _Sink:
-    """The visibility consumer: a line-for-line mirror of ``merge_visible``."""
+    """The visibility consumer: newest visible version per key, tombstones
+    elided, ``hi_key`` and ``limit`` cut-offs applied."""
 
     __slots__ = ("out", "served", "snapshot", "hi_key", "limit", "count", "done")
 
@@ -118,7 +126,7 @@ class _ListStream:
 class _SeqState:
     """Pull mirror of :meth:`Sequence.cursor`: same records, same charges."""
 
-    __slots__ = ("runtime", "file_id", "seq", "recs", "starts", "first",
+    __slots__ = ("runtime", "file_id", "recs", "starts", "first",
                  "last_block", "idx", "j", "b", "next_start", "charged_through",
                  "readahead")
 
@@ -127,7 +135,6 @@ class _SeqState:
         i, j = seq.span_for_range(lo_key, hi_key)
         self.runtime = runtime
         self.file_id = file_id
-        self.seq = seq
         recs = seq.records
         self.recs = recs
         starts = seq.block_start_idx
@@ -204,17 +211,6 @@ class _SeqState:
             self.next_start = next_start
             self.charged_through = charged_through
 
-    def reseek(self, key: Optional[Key], hi_key: Optional[Key]) -> None:
-        """Reposition using the cached key column; block charges reset so
-        every consumed block is touched again (mostly cache hits)."""
-        i, j = self.seq.span_for_range(key, hi_key)
-        self.idx = i
-        self.j = j
-        starts = self.starts
-        self.b = bisect.bisect_right(starts, i) - 1 if i < j else 0
-        self.next_start = starts[self.b + 1] if self.b + 1 < len(starts) else len(self.recs)
-        self.charged_through = -1
-
 
 class _RawMerge:
     """Lazy mirror of the ``heapq.merge`` inside a multi-sequence node.
@@ -268,28 +264,29 @@ class _RawMerge:
 class _ChainState:
     """Pull mirror of a per-level node chain (``yield from`` over cursors).
 
-    Node states are created lazily as the chain reaches them, so a node's
-    first-block charges land exactly when the scalar chain generator would
-    have issued them.
+    ``nodes`` are key-ordered chain nodes, each a list of ``(file_id,
+    Sequence)`` pairs.  Node states are created lazily as the chain
+    reaches them, so a node's first-block charges land exactly when the
+    scalar chain generator would have issued them.
     """
 
-    __slots__ = ("runtime", "tables", "lo_key", "hi_key", "ti", "current",
+    __slots__ = ("runtime", "nodes", "lo_key", "hi_key", "ti", "current",
                  "_max_keys")
 
-    def __init__(self, runtime: Runtime, tables: list, lo_key: Optional[Key],
+    def __init__(self, runtime: Runtime, nodes: list, lo_key: Optional[Key],
                  hi_key: Optional[Key]) -> None:
         self.runtime = runtime
-        self.tables = tables
+        self.nodes = nodes
         self.lo_key = lo_key
         self.hi_key = hi_key
         self.ti = 0
         self.current = None
         self._max_keys = None
 
-    def _node_state(self, table):
+    def _node_state(self, node):
         states = [
-            _SeqState(self.runtime, table.file_id, seq, self.lo_key, self.hi_key)
-            for seq in table.sequences
+            _SeqState(self.runtime, fid, seq, self.lo_key, self.hi_key)
+            for fid, seq in node
         ]
         if len(states) == 1:
             return states[0]
@@ -299,9 +296,9 @@ class _ChainState:
         while True:
             cur = self.current
             if cur is None:
-                if self.ti >= len(self.tables):
+                if self.ti >= len(self.nodes):
                     return None
-                cur = self.current = self._node_state(self.tables[self.ti])
+                cur = self.current = self._node_state(self.nodes[self.ti])
                 self.ti += 1
             rec = cur.pull()
             if rec is not None:
@@ -313,9 +310,9 @@ class _ChainState:
         while True:
             cur = self.current
             if cur is None:
-                if self.ti >= len(self.tables):
+                if self.ti >= len(self.nodes):
                     return None
-                cur = self.current = self._node_state(self.tables[self.ti])
+                cur = self.current = self._node_state(self.nodes[self.ti])
                 self.ti += 1
             if isinstance(cur, _SeqState):
                 rec = cur.bulk_into(sink, stop_key)
@@ -339,30 +336,31 @@ class _ChainState:
     def reseek(self, key: Optional[Key]) -> None:
         """Jump to the first node whose data may reach ``key`` using the
         cached per-chain fence column (no per-level bisect walk)."""
-        tables = self.tables
+        nodes = self.nodes
         maxes = self._max_keys
         if maxes is None:
-            maxes = self._max_keys = [t.max_key for t in tables]
+            maxes = self._max_keys = [max(seq.max_key for _, seq in node)
+                                      for node in nodes]
         ti = 0 if key is None else bisect.bisect_left(maxes, key)
         self.ti = ti
         self.lo_key = key
-        if ti >= len(tables):
+        if ti >= len(nodes):
             self.current = None
             return
-        self.current = self._node_state(tables[ti])
+        self.current = self._node_state(nodes[ti])
         self.ti = ti + 1
 
 
-def chain_stream(runtime: Runtime, tables: list, lo_key: Optional[Key],
+def chain_stream(runtime: Runtime, nodes: list, lo_key: Optional[Key],
                  hi_key: Optional[Key]) -> _ChainState:
-    """One engine-plan stream: a level's overlapping node tables in order."""
-    return _ChainState(runtime, tables, lo_key, hi_key)
+    """One engine-plan stream: a level's overlapping chain nodes in order."""
+    return _ChainState(runtime, nodes, lo_key, hi_key)
 
 
 def table_stream(runtime: Runtime, table, lo_key: Optional[Key],
                  hi_key: Optional[Key]) -> _ChainState:
     """One engine-plan stream for a single table (L0 files)."""
-    return _ChainState(runtime, [table], lo_key, hi_key)
+    return _ChainState(runtime, [table.seq_pairs], lo_key, hi_key)
 
 
 def list_stream(recs: SequenceType[RecordTuple]) -> _ListStream:
@@ -372,11 +370,11 @@ def list_stream(recs: SequenceType[RecordTuple]) -> _ListStream:
 def merge_scan(streams: list, *, snapshot: Optional[int] = None,
                hi_key: Optional[Key] = None,
                limit: Optional[int] = None) -> List[Tuple[Key, object]]:
-    """Batched ``merge_visible``: same records, same charge order, no heap.
+    """Batched visible merge: same records, same charge order, no heap.
 
     ``streams`` are pull states in the scalar stream order (memtable first,
     then the engine plan).  A single stream is drained directly, mirroring
-    ``merge_visible``'s no-merge fast path.
+    the scalar pipeline's no-merge fast path.
     """
     sink = _Sink(snapshot, hi_key, limit)
     if not streams:

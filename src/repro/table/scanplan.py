@@ -135,9 +135,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             lo = s.lo_key
             hi = s.hi_key
             budget = cap
-            tables_meta = []
+            nodes_meta = []
             fill_only = None
-            for ti, table in enumerate(s.tables):
+            for ti, node in enumerate(s.nodes):
                 if budget is not None and budget <= 0:
                     # Chain tail cut: the dropped node's records all sort
                     # past the (validated) termination rank, but its state
@@ -147,7 +147,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     # which cannot happen below M.
                     fill_only = []
                     first_key = None
-                    for seq in table.sequences:
+                    for fid, seq in node:
                         i2, j2 = seq.span_for_range(None, hi)
                         if j2 <= i2:
                             continue
@@ -159,7 +159,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                         starts = seq.block_start_idx
                         c0 = bisect_right(starts, i2) - 1
                         stop = min(c0 + _RA, seq.n_blocks)
-                        fill_only.append((table.file_id,
+                        fill_only.append((fid,
                                           range(seq.first_block + c0,
                                                 seq.first_block + stop)))
                     if first_key is not None and (cut_key is None
@@ -169,11 +169,11 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 comp_idxs = []
                 truncated_any = False
                 kept = 0
-                for seq in table.sequences:
+                for fid, seq in node:
                     if ti == 0 or hi is not None:
                         i, j = seq.span_for_range(lo if ti == 0 else None, hi)
                     else:
-                        i, j = 0, len(seq.records)  # interior table: full span
+                        i, j = 0, len(seq.records)  # interior node: full span
                     if j <= i:
                         continue
                     j_eff = j
@@ -205,14 +205,14 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     # record past the cut before the plan's validity bound
                     # stops it -- mirror that single-record overshoot.
                     charge_end = j_eff + 1 if j_eff < j else j
-                    charge_info.append((table.file_id, seq.block_start_idx,
+                    charge_info.append((fid, seq.block_start_idx,
                                         seq.first_block, seq.n_blocks,
                                         i, charge_end))
                     kept += j_eff - i
                 if budget is not None:
                     budget -= kept
-                tables_meta.append((comp_idxs, truncated_any))
-            chains.append((tables_meta, fill_only))
+                nodes_meta.append((comp_idxs, truncated_any))
+            chains.append((nodes_meta, fill_only))
         else:
             return None
 
@@ -318,9 +318,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # ---------------------------------------------------------- charge events
     events: List[Tuple[int, int, int, range]] = []
     gen = 0
-    for tables_meta, fill_only in chains:
+    for nodes_meta, fill_only in chains:
         prev = -1  # merge rank of the last record of the last non-empty node
-        for comp_idxs, truncated_any in tables_meta:
+        for comp_idxs, truncated_any in nodes_meta:
             if not comp_idxs:
                 continue
             fill_tr = prev

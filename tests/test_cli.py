@@ -102,41 +102,10 @@ def test_cluster_trace_validates(tmp_path, capsys):
 
 # ------------------------------------------------------ scheduling flags
 
-def test_scheduling_flags_parse_and_default():
-    args = build_parser().parse_args(["load", "--engine", "leveldb"])
-    assert args.scheduler == "fair"
-    assert args.compaction_selector == "provider"
-    assert args.legacy_gate is False
-    args = build_parser().parse_args(
-        ["load", "--engine", "leveldb", "--scheduler", "legacy",
-         "--compaction-selector", "greedy-largest-debt", "--legacy-gate"])
-    assert args.scheduler == "legacy"
-    assert args.compaction_selector == "greedy-largest-debt"
-    assert args.legacy_gate is True
-
-
 def test_scheduling_flags_reject_unknown():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["load", "--engine", "leveldb", "--scheduler", "bogus"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["load", "--engine", "leveldb", "--compaction-selector", "bogus"])
-
-
-def test_legacy_gate_flag_reaches_engine(capsys):
-    assert main(["load", "--engine", "leveldb", "--records", "2000",
-                 "--legacy-gate"]) == 0
-    capsys.readouterr()
-
-
-def test_selector_flag_reaches_engine(capsys):
-    assert main(["load", "--engine", "leveldb", "--records", "2000",
-                 "--compaction-selector", "oldest-first"]) == 0
-    capsys.readouterr()
-
-
-def test_cluster_accepts_scheduling_flags(capsys):
-    assert main(["cluster", "ycsb", "--shards", "2", "--replicas", "1",
-                 "--records", "1000", "--ops", "50", "--legacy-gate"]) == 0
-    capsys.readouterr()
+    # The fair pump, token pacer and provider pick are the only write
+    # admission: the flags that once selected alternatives are gone.
+    for flags in (["--scheduler", "fair"], ["--compaction-selector", "provider"],
+                  ["--legacy-gate"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["load", "--engine", "leveldb", *flags])

@@ -39,6 +39,19 @@ def test_append_sequence_accounting():
     assert t.n_records == 10
 
 
+def test_seq_pairs_track_sequences_through_appends_and_restore():
+    rt = make_runtime()
+    t = make_table(rt)
+    assert t.seq_pairs == ()
+    for i in range(3):
+        t.append_sequence(run(range(i * 10, i * 10 + 10), i + 1), level=1)
+        assert t.seq_pairs == tuple((t.file_id, s) for s in t.sequences)
+    restored = MSTable.from_snapshot(rt, t.snapshot())
+    assert restored.file_id != t.file_id
+    assert restored.seq_pairs == tuple((restored.file_id, s)
+                                       for s in t.sequences)
+
+
 def test_appended_blocks_enter_cache():
     rt = make_runtime(cache_bytes=100 * BLOCK)
     t = make_table(rt)

@@ -6,19 +6,24 @@ The vectorized read kernels -- :meth:`repro.db.iamdb.IamDB.multi_get`
 scalar walks in :mod:`repro.bench.reference` at every observable level:
 returned records, the simulated clock, Bloom counters, and the page-cache
 trajectory (insertions, evictions, LRU order).  Hypothesis drives both
-sides of each pair with randomized MVCC workloads across all three engine
-families; pinned tests cover the edge cases batching is most likely to
-get wrong (duplicate keys in one batch, snapshot boundaries, tombstones,
-mid-flush memtable rotation, empty stores), and a 1-shard zero-cost
+sides of each pair with randomized MVCC workloads across every engine
+that serves scans (iam, lsa, leveldb, rocksdb and flsm, whose scan plan
+chains multi-fragment guards); a partly consumed ``iterate`` is held to
+the lazy heap-merge oracle the same way.  Pinned tests cover the edge
+cases batching is most likely to get wrong (duplicate keys in one batch,
+snapshot boundaries, tombstones, mid-flush memtable rotation, empty
+stores, FLSM guards with several fragments), and a 1-shard zero-cost
 cluster proves the scatter-gather layer adds nothing.
 """
 
+import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.reference import (
     reference_cluster_read_loop,
+    reference_iterate,
     reference_multi_get,
     reference_scan,
 )
@@ -31,7 +36,7 @@ KEY_POOL = [(0x9E3779B97F4A7C15 * (i + 1)) % 2 ** 64 for i in range(24)]
 #: A compact pool (small ints) -- exercises the composite-sort fast path.
 SMALL_POOL = list(range(24))
 
-ENGINES = ("iam", "lsa", "leveldb")
+ENGINES = ("iam", "lsa", "leveldb", "rocksdb", "flsm")
 
 
 def _observable_state(db):
@@ -51,9 +56,10 @@ def _observable_state(db):
     )
 
 
-def _twin_dbs(engine, ops, pool):
+def _twin_dbs(engine, ops, pool, storage_kw=None):
     """Two identically-built DBs after the same randomized workload."""
-    dbs = (make_tiny_db(engine), make_tiny_db(engine))
+    dbs = (make_tiny_db(engine, storage_kw=storage_kw),
+           make_tiny_db(engine, storage_kw=storage_kw))
     for op, key_i, size in ops:
         key = pool[key_i % len(pool)]
         for db in dbs:
@@ -64,11 +70,14 @@ def _twin_dbs(engine, ops, pool):
     return dbs
 
 
-workload = st.lists(
-    st.tuples(st.sampled_from(["put", "put", "put", "delete"]),
-              st.integers(0, 23),
-              st.integers(1, 200)),
-    max_size=120)
+op = st.tuples(st.sampled_from(["put", "put", "put", "delete"]),
+               st.integers(0, 23),
+               st.integers(1, 200))
+
+workload = st.lists(op, max_size=120)
+
+#: Workloads long enough to build multi-chunk sequences on 64-byte blocks.
+long_workload = st.lists(op, min_size=60, max_size=120)
 
 
 @settings(max_examples=25, deadline=None,
@@ -119,6 +128,70 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce,
     got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
     assert got == want
     assert _observable_state(db_opt) == _observable_state(db_ref)
+    db_ref.close()
+    db_opt.close()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(engine=st.sampled_from(ENGINES), ops=long_workload,
+       small_keys=st.booleans(), quiesce=st.booleans(),
+       lo_i=st.one_of(st.none(), st.integers(0, 23)),
+       span=st.one_of(st.none(), st.integers(0, 23)),
+       take=st.integers(0, 30),
+       snap_back=st.one_of(st.none(), st.integers(0, 60)))
+def test_iterate_matches_lazy_reference(engine, ops, small_keys, quiesce,
+                                        lo_i, span, take, snap_back):
+    # Consuming ``take`` pairs must charge exactly what the lazy heap merge
+    # charges for the same pairs -- nothing read ahead of the consumer.
+    # 64-byte blocks put about one record in each, so a read-ahead chunk
+    # ends inside a sequence and early pulls would show as extra charges.
+    pool = SMALL_POOL if small_keys else KEY_POOL
+    db_ref, db_opt = _twin_dbs(engine, ops, pool, dict(block_size=64))
+    if quiesce:
+        db_ref.quiesce()
+        db_opt.quiesce()
+    snapshot = None
+    if snap_back is not None and db_ref._seq > 0:
+        snapshot = max(1, db_ref._seq - snap_back)
+    lo = None if lo_i is None else pool[lo_i]
+    hi = None if span is None else (lo or 0) + sorted(pool)[span] + 1
+    want = reference_iterate(db_ref, lo, hi, snapshot=snapshot)
+    got = db_opt.iterate(lo, hi, snapshot=snapshot)
+    for _ in range(take):
+        # Lockstep: every pull must charge exactly when the oracle's does.
+        assert next(got, None) == next(want, None)
+        assert _observable_state(db_opt) == _observable_state(db_ref)
+    db_ref.close()
+    db_opt.close()
+
+
+def test_flsm_multi_fragment_guard_reads_match_reference():
+    # Enough unordered puts that FLSM's deeper guards hold several
+    # fragments each: every planned scan and partial iterate walks guard
+    # nodes whose fragments interleave in key order.
+    db_ref, db_opt = make_tiny_db("flsm"), make_tiny_db("flsm")
+    rng = random.Random(13)
+    keys = [rng.randrange(1 << 40) for _ in range(500)]
+    for i, k in enumerate(keys):
+        for db in (db_ref, db_opt):
+            db.put(k, 64 + i % 50)
+    deeper = db_opt.engine.guards[1:]
+    assert max(len(g.tables) for lvl in deeper for g in lvl) > 1
+    ordered = sorted(keys)
+    for _ in range(40):
+        lo = ordered[rng.randrange(len(ordered))]
+        hi = lo + rng.choice([1 << 30, 1 << 36, 1 << 40])
+        limit = rng.choice([None, 1, 7, 30])
+        snapshot = rng.choice([None, db_ref._seq // 2])
+        assert db_opt.scan(lo, hi, limit=limit, snapshot=snapshot) == \
+            reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
+        assert _observable_state(db_opt) == _observable_state(db_ref)
+        take = rng.randrange(40)
+        got = list(itertools.islice(db_opt.iterate(lo, hi), take))
+        want = list(itertools.islice(reference_iterate(db_ref, lo, hi), take))
+        assert got == want
+        assert _observable_state(db_opt) == _observable_state(db_ref)
     db_ref.close()
     db_opt.close()
 
