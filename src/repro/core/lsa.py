@@ -36,6 +36,7 @@ from repro.core.node import (
     children_of,
     children_slice,
     count_children,
+    iter_overlapping,
     level_find_node,
     level_insert_sorted,
     level_overlapping,
@@ -592,14 +593,15 @@ class LsaTree(EngineBase):
     @observation_only
     def scan_plan(self, lo_key: Optional[Key],
                   hi_key: Optional[Key]) -> List[object]:
-        """Batched scan streams: one node chain per level, cursor order."""
+        """Batched scan streams: one lazy node chain per level, cursor order."""
         plan: List[object] = []
         for level in range(1, self.n + 1):
-            nodes = [nd.table.seq_pairs
-                     for nd in level_overlapping(self.levels[level], lo_key, hi_key)
-                     if not nd.is_empty]
-            if nodes:
-                plan.append(chain_stream(self.runtime, nodes, lo_key, hi_key))
+            nodes = (nd.table.seq_pairs
+                     for nd in iter_overlapping(self.levels[level], lo_key, hi_key)
+                     if not nd.is_empty)
+            chain = chain_stream(self.runtime, nodes, lo_key, hi_key)
+            if chain is not None:
+                plan.append(chain)
         return plan
 
     def scan_runs(self, lo_key: Optional[Key],

@@ -16,7 +16,7 @@ range-adjustment operations (flush rebalancing §4.2.1, combine adoption
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,22 +137,26 @@ def level_insert_sorted(level: List[LsaNode], node: LsaNode) -> None:
     level.insert(idx, node)
 
 
-def level_overlapping(level: List[LsaNode], lo: Optional[Key],
-                      hi: Optional[Key]) -> List[LsaNode]:
-    """Nodes whose ranges intersect [lo, hi] (inclusive; None bounds open)."""
-    if not level:
-        return []
+def iter_overlapping(level: List[LsaNode], lo: Optional[Key],
+                     hi: Optional[Key]) -> Iterator[LsaNode]:
+    """Lazily, the nodes whose ranges intersect [lo, hi] (inclusive; None
+    bounds open): one bisect to ``lo``, then each node only when drawn."""
     start = 0
-    if lo is not None:
+    if lo is not None and level:
         start = bisect.bisect_right(level, lo, key=lambda n: n.range_lo) - 1
         if start < 0 or level[start].range_hi < lo:
             start += 1
-    out = []
-    for node in level[start:]:
+    for i in range(start, len(level)):
+        node = level[i]
         if hi is not None and node.range_lo > hi:
-            break
-        out.append(node)
-    return out
+            return
+        yield node
+
+
+def level_overlapping(level: List[LsaNode], lo: Optional[Key],
+                      hi: Optional[Key]) -> List[LsaNode]:
+    """Nodes whose ranges intersect [lo, hi] (inclusive; None bounds open)."""
+    return list(iter_overlapping(level, lo, hi))
 
 
 def children_slice(parents: List[LsaNode], kids: List[LsaNode],

@@ -67,6 +67,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SnapshotLike = Union[None, int, Snapshot]
 
+#: Scans asking for at most this many rows run on the pull assembler
+#: (``merge_scan``); larger and unlimited scans run on the vectorized
+#: planner.  Below the crossover the planner's fixed cost (gathering every
+#: component's columns, one sort) outweighs the pull loop's per-record
+#: cost; DESIGN.md ("One plan, two assemblers") has the measured sweep.
+PULL_SCAN_MAX_ROWS = 128
+
 
 def _engine_factory(name: str, engine_options: Any,
                     runtime: Runtime) -> EngineBase:
@@ -404,14 +411,21 @@ class IamDB:
         runtime = self.runtime
         t0 = runtime.clock.now
         snap = self._snap_seq(snapshot)
-        streams = self._read_streams(lo_key, hi_key)
-        # Plan the whole merge vectorized (one lexsort over the cached key
-        # columns + an explicit charge-event replay); keys that are not
-        # uint64 fall back to the pull-based assembler over the same,
-        # untouched streams.
-        out = planned_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
-        if out is None:
-            out = merge_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
+        out: Optional[List[Tuple[Key, object]]] = None
+        if limit is not None and limit <= 0:
+            out = []  # nothing asked for: no streams, no I/O
+        else:
+            streams = self._read_streams(lo_key, hi_key)
+            # Long and unlimited scans plan the whole merge vectorized (one
+            # sort over the cached key columns + an explicit charge-event
+            # replay).  Short scans, and keys that are not uint64, run the
+            # pull-based assembler over the same, untouched streams.
+            if limit is None or limit > PULL_SCAN_MAX_ROWS:
+                out = planned_scan(streams, snapshot=snap, hi_key=hi_key,
+                                   limit=limit)
+            if out is None:
+                out = merge_scan(streams, snapshot=snap, hi_key=hi_key,
+                                 limit=limit)
         runtime.pump()
         elapsed = runtime.clock.now - t0
         self.metrics.record_latency("scan", elapsed)

@@ -10,7 +10,7 @@ tombstones, and stops at ``hi_key``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.common.records import DELETE, KEY, KIND, Key, SEQ, VALUE
 from repro.table.scan import MergeScanner
@@ -30,12 +30,14 @@ class DbIterator:
     on the way back through, which the page cache absorbs.
     """
 
-    def __init__(self, streams: List[object], lo_key: Optional[Key],
+    def __init__(self, streams: List[Any], lo_key: Optional[Key],
                  hi_key: Optional[Key], snapshot: Optional[int]) -> None:
         self._lo_key = lo_key
         self._hi_key = hi_key
         self._snapshot = snapshot
         self._served: object = _SENTINEL
+        for stream in streams:
+            stream.pin()
         self._scanner = MergeScanner(streams)
 
     def __iter__(self) -> "DbIterator":

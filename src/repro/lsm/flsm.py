@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
@@ -319,18 +319,33 @@ class FlsmEngine(EngineBase):
 
         Each chain node is one guard: the sequences of its fragments that
         overlap [lo, hi], filtered exactly as :meth:`_level_cursor` does.
+        Chains are lazy and start at the guard holding ``lo``: a guard
+        holds only keys in [its lo, the next guard's lo), so the guards
+        before it and those past ``hi`` have no live fragment.
         """
         plan: List[object] = []
         for level in range(self.options.max_levels):
-            nodes = []
-            for g in self.guards[level]:
-                node = [pair for t in self._live_tables(g, lo_key, hi_key)
-                        for pair in t.seq_pairs]
-                if node:
-                    nodes.append(node)
-            if nodes:
-                plan.append(chain_stream(self.runtime, nodes, lo_key, hi_key))
+            chain = chain_stream(self.runtime,
+                                 self._guard_nodes(level, lo_key, hi_key),
+                                 lo_key, hi_key)
+            if chain is not None:
+                plan.append(chain)
         return plan
+
+    def _guard_nodes(self, level: int, lo_key, hi_key) -> Iterator[list]:
+        """Lazily, the non-empty chain nodes of one level's guards."""
+        if not self.level_bytes[level]:
+            return  # a compacted-away level keeps its guards, all empty
+        lvl = self.guards[level]
+        start = 0 if lo_key is None else self._guard_index(level, lo_key)
+        for i in range(start, len(lvl)):
+            g = lvl[i]
+            if hi_key is not None and g.lo is not None and g.lo > hi_key:
+                return
+            node = [pair for t in self._live_tables(g, lo_key, hi_key)
+                    for pair in t.seq_pairs]
+            if node:
+                yield node
 
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
@@ -376,6 +391,15 @@ class FlsmEngine(EngineBase):
             cuts = [g.lo for g in lvl[1:]]
             if cuts != sorted(cuts):
                 raise InvariantViolation(f"FLSM level {i} guards out of order")
+            # Scan plans skip the guards outside [lo, hi] on this bound.
+            for gi, g in enumerate(lvl):
+                nxt = cuts[gi] if gi < len(cuts) else None
+                for t in g.tables:
+                    if ((g.lo is not None and t.min_key < g.lo)
+                            or (nxt is not None and t.max_key >= nxt)):
+                        raise InvariantViolation(
+                            f"FLSM level {i} guard {gi} holds keys outside "
+                            f"its bounds")
 
     @observation_only
     def describe(self) -> Dict[str, object]:

@@ -21,7 +21,7 @@ overlapping files one level down, trivial moves when nothing overlaps.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
@@ -200,15 +200,22 @@ class LeveledLsm(EngineBase):
         lst = self.levels[level]
         if level == 0:
             return [t for t in lst if not (t.max_key < lo or t.min_key > hi)]
-        start = bisect.bisect_right(lst, lo, key=lambda t: t.min_key) - 1
-        if start < 0 or lst[start].max_key < lo:
-            start += 1
-        out = []
-        for t in lst[start:]:
-            if t.min_key > hi:
-                break
-            out.append(t)
-        return out
+        return list(self._iter_overlapping(lst, lo, hi))
+
+    @staticmethod
+    def _iter_overlapping(lst: List[MSTable], lo, hi) -> Iterator[MSTable]:
+        """Lazily, the tables of a sorted level intersecting [lo, hi]
+        (None bounds open): one bisect, then each table only when drawn."""
+        start = 0
+        if lo is not None and lst:
+            start = bisect.bisect_right(lst, lo, key=lambda t: t.min_key) - 1
+            if start < 0 or lst[start].max_key < lo:
+                start += 1
+        for i in range(start, len(lst)):
+            t = lst[i]
+            if hi is not None and t.min_key > hi:
+                return
+            yield t
 
     def _pick_input_file(self, level: int) -> MSTable:
         """Round-robin file pick via the per-level compaction cursor."""
@@ -435,16 +442,11 @@ class LeveledLsm(EngineBase):
                 continue
             plan.append(table_stream(self.runtime, table, lo_key, hi_key))
         for level in range(1, self.options.max_levels):
-            lst = self.levels[level]
-            if not lst:
-                continue
-            lo = lst[0].min_key if lo_key is None else lo_key
-            hi = lst[-1].max_key if hi_key is None else hi_key
-            tables = self._overlapping(level, lo, hi)
-            if tables:
-                plan.append(chain_stream(self.runtime,
-                                         [t.seq_pairs for t in tables],
-                                         lo_key, hi_key))
+            tables = self._iter_overlapping(self.levels[level], lo_key, hi_key)
+            chain = chain_stream(self.runtime, (t.seq_pairs for t in tables),
+                                 lo_key, hi_key)
+            if chain is not None:
+                plan.append(chain)
         return plan
 
     def _find_table(self, level: int, key) -> Optional[MSTable]:

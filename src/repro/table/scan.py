@@ -38,7 +38,8 @@ re-running the engine's per-level walks).
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence as SequenceType, Tuple
+from typing import (Any, Iterable, Iterator, List, Optional,
+                    Sequence as SequenceType, Tuple, Union)
 
 from repro.common.records import DELETE, Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
@@ -121,6 +122,9 @@ class _ListStream:
 
     def reseek(self, key: Key) -> None:
         self.pos = bisect.bisect_left(self.recs, key, key=lambda r: r[0])
+
+    def pin(self) -> None:
+        """Already fixed: the records were copied when the read began."""
 
 
 class _SeqState:
@@ -264,24 +268,61 @@ class _RawMerge:
 class _ChainState:
     """Pull mirror of a per-level node chain (``yield from`` over cursors).
 
-    ``nodes`` are key-ordered chain nodes, each a list of ``(file_id,
-    Sequence)`` pairs.  Node states are created lazily as the chain
-    reaches them, so a node's first-block charges land exactly when the
-    scalar chain generator would have issued them.
+    ``nodes`` yields the key-ordered chain nodes, each a list of
+    ``(file_id, Sequence)`` pairs.  It may be a lazy source (an engine's
+    level walk): a node is drawn from it only when the chain reaches it,
+    so a short scan costs the nodes it touches, not the level's tail.
+    Node states are likewise created as the chain reaches them, so a
+    node's first-block charges land exactly when the scalar chain
+    generator would have issued them.
     """
 
-    __slots__ = ("runtime", "nodes", "lo_key", "hi_key", "ti", "current",
-                 "_max_keys")
+    __slots__ = ("runtime", "nodes", "_source", "lo_key", "hi_key", "ti",
+                 "current", "_max_keys")
 
-    def __init__(self, runtime: Runtime, nodes: list, lo_key: Optional[Key],
-                 hi_key: Optional[Key]) -> None:
+    def __init__(self, runtime: Runtime, nodes: Iterable[Any],
+                 lo_key: Optional[Key], hi_key: Optional[Key]) -> None:
         self.runtime = runtime
-        self.nodes = nodes
+        self.nodes: List[Any] = []  # the prefix drawn from the source so far
+        self._source: Optional[Iterator[Any]] = iter(nodes)
         self.lo_key = lo_key
         self.hi_key = hi_key
         self.ti = 0
         self.current = None
         self._max_keys = None
+
+    def node(self, ti: int) -> Any:
+        """The chain's ``ti``-th node, or None past its end."""
+        nodes = self.nodes
+        while ti >= len(nodes):
+            src = self._source
+            if src is None:
+                return None
+            nxt = next(src, None)
+            if nxt is None:
+                self._source = None
+                return None
+            nodes.append(nxt)
+        return nodes[ti]
+
+    def pin(self) -> None:
+        """Draw every remaining node now, fixing the chain's view of its
+        level against later engine mutations (iterators outlive a call)."""
+        if self._source is not None:
+            self.nodes.extend(self._source)
+            self._source = None
+
+    def iter_nodes(self) -> Iterator[Any]:
+        """Every chain node in order, drawing from the source as needed."""
+        nodes = self.nodes
+        yield from nodes
+        src = self._source
+        if src is None:
+            return
+        for node in src:
+            nodes.append(node)  # cached before it is handed out
+            yield node
+        self._source = None
 
     def _node_state(self, node):
         states = [
@@ -292,14 +333,22 @@ class _ChainState:
             return states[0]
         return _RawMerge(states)
 
+    def _advance(self) -> Optional[Union[_SeqState, _RawMerge]]:
+        """State of the next node (None at the chain's end)."""
+        node = self.node(self.ti)
+        if node is None:
+            return None
+        self.ti += 1
+        cur = self.current = self._node_state(node)
+        return cur
+
     def pull(self) -> Optional[RecordTuple]:
         while True:
             cur = self.current
             if cur is None:
-                if self.ti >= len(self.nodes):
+                cur = self._advance()
+                if cur is None:
                     return None
-                cur = self.current = self._node_state(self.nodes[self.ti])
-                self.ti += 1
             rec = cur.pull()
             if rec is not None:
                 return rec
@@ -310,10 +359,9 @@ class _ChainState:
         while True:
             cur = self.current
             if cur is None:
-                if self.ti >= len(self.nodes):
+                cur = self._advance()
+                if cur is None:
                     return None
-                cur = self.current = self._node_state(self.nodes[self.ti])
-                self.ti += 1
             if isinstance(cur, _SeqState):
                 rec = cur.bulk_into(sink, stop_key)
                 if rec is not None:
@@ -336,25 +384,26 @@ class _ChainState:
     def reseek(self, key: Optional[Key]) -> None:
         """Jump to the first node whose data may reach ``key`` using the
         cached per-chain fence column (no per-level bisect walk)."""
-        nodes = self.nodes
         maxes = self._max_keys
         if maxes is None:
+            self.pin()
             maxes = self._max_keys = [max(seq.max_key for _, seq in node)
-                                      for node in nodes]
-        ti = 0 if key is None else bisect.bisect_left(maxes, key)
-        self.ti = ti
+                                      for node in self.nodes]
+        self.ti = 0 if key is None else bisect.bisect_left(maxes, key)
         self.lo_key = key
-        if ti >= len(nodes):
-            self.current = None
-            return
-        self.current = self._node_state(nodes[ti])
-        self.ti = ti + 1
+        self.current = None
+        self._advance()
 
 
-def chain_stream(runtime: Runtime, nodes: list, lo_key: Optional[Key],
-                 hi_key: Optional[Key]) -> _ChainState:
-    """One engine-plan stream: a level's overlapping chain nodes in order."""
-    return _ChainState(runtime, nodes, lo_key, hi_key)
+def chain_stream(runtime: Runtime, nodes: Iterable[Any], lo_key: Optional[Key],
+                 hi_key: Optional[Key]) -> Optional[_ChainState]:
+    """One engine-plan stream: a level's overlapping chain nodes in order.
+
+    ``nodes`` may be a lazy source; its first node is drawn here, and a
+    chain without nodes is None (no stream), as an empty eager list was.
+    """
+    chain = _ChainState(runtime, nodes, lo_key, hi_key)
+    return None if chain.node(0) is None else chain
 
 
 def table_stream(runtime: Runtime, table, lo_key: Optional[Key],

@@ -137,7 +137,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             budget = cap
             nodes_meta = []
             fill_only = None
-            for ti, node in enumerate(s.nodes):
+            for ti, node in enumerate(s.iter_nodes()):
                 if budget is not None and budget <= 0:
                     # Chain tail cut: the dropped node's records all sort
                     # past the (validated) termination rank, but its state

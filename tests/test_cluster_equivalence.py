@@ -8,7 +8,7 @@ itself must match a bare :class:`~repro.db.iamdb.IamDB` driven with the
 same operations.  Hypothesis drives both with randomized mixed workloads.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tests.conftest import tiny_iam_options, tiny_storage_options
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
@@ -39,6 +39,8 @@ def _pair():
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=ops_strategy)
+@example(ops=[("put", i, 5) for i in range(24)]
+         + [("scan", 0, 1), ("scan", 0, 10)])  # limit 0 and -1
 def test_trivial_cluster_equals_bare_db(ops):
     cluster, bare = _pair()
     for op, key_i, size in ops:
@@ -53,7 +55,7 @@ def test_trivial_cluster_equals_bare_db(ops):
             assert cluster.get(key) == bare.get(key)
         else:
             lo = KEY_POOL[size % len(KEY_POOL)]
-            limit = 1 + size % 8
+            limit = size % 10 - 1  # -1..8: empty asks included
             assert (cluster.scan(lo, None, limit=limit)
                     == bare.scan(lo, None, limit=limit))
     # Identical final state: KV contents, sequence counter, sim clock,

@@ -131,3 +131,21 @@ def test_seek_under_snapshot(engine):
     assert got == _expect(db, target, lo, hi, snapshot=snap)
     assert got != _expect(db, target, lo, hi)
     db.close()
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_view_is_fixed_at_creation(engine):
+    # Scan plans draw chain nodes lazily, but an iterator outlives the
+    # call: engine mutations made after it was created (flushes, appends,
+    # merges, compactions) must not show through, before or after a seek.
+    db, keys = _loaded(engine)
+    want = list(db.iterate())
+    it = db.iterate()
+    first = next(it)
+    for k in keys:
+        db.put(k, 80)
+    db.quiesce()
+    assert [first] + list(it) == want
+    it.seek(keys[0])
+    assert list(it) == want
+    db.close()

@@ -19,6 +19,7 @@ cluster proves the scatter-gather layer adds nothing.
 import itertools
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.reference import (
@@ -28,6 +29,10 @@ from repro.bench.reference import (
     reference_scan,
 )
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
+from repro.db import iamdb
+from repro.db.iamdb import PULL_SCAN_MAX_ROWS
+from repro.table.scan import merge_scan
+from repro.table.scanplan import planned_scan
 from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
 
 #: A fixed, spread-out key pool (arbitrary points in the 64-bit key space).
@@ -130,6 +135,71 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce,
     assert _observable_state(db_opt) == _observable_state(db_ref)
     db_ref.close()
     db_opt.close()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(engine=st.sampled_from(ENGINES), ops=workload,
+       small_keys=st.booleans(), quiesce=st.booleans(),
+       lo_i=st.integers(0, 23), span=st.one_of(st.none(), st.integers(0, 23)),
+       limit=st.one_of(st.none(), st.integers(1, 40)),
+       snap_back=st.one_of(st.none(), st.integers(0, 60)))
+def test_both_assemblers_match_scalar_reference(engine, ops, small_keys,
+                                                quiesce, lo_i, span, limit,
+                                                snap_back):
+    # IamDB.scan picks one assembler by limit, so the DB-level test above
+    # reaches only one per drawn case.  Run each directly on fresh streams
+    # of identically built stores, as IamDB.scan would, and hold both to
+    # the oracle: the planner's truncated plans and retries included.
+    pool = SMALL_POOL if small_keys else KEY_POOL
+    db_ref, db_plan = _twin_dbs(engine, ops, pool)
+    db_pull = _twin_dbs(engine, ops, pool)[0]
+    dbs = (db_ref, db_plan, db_pull)
+    if quiesce:
+        for db in dbs:
+            db.quiesce()
+    snapshot = None
+    if snap_back is not None and db_ref._seq > 0:
+        snapshot = max(1, db_ref._seq - snap_back)
+    lo = pool[lo_i]
+    hi = None if span is None else lo + sorted(pool)[span] + 1
+    want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
+    for db, assemble in ((db_plan, planned_scan), (db_pull, merge_scan)):
+        got = assemble(db._read_streams(lo, hi), snapshot=snapshot,
+                       hi_key=hi, limit=limit)
+        db.runtime.pump()
+        assert got == want
+        assert _observable_state(db) == _observable_state(db_ref)
+    for db in dbs:
+        db.close()
+
+
+@pytest.mark.parametrize("limit, runs", [
+    (PULL_SCAN_MAX_ROWS, "merge_scan"),
+    (PULL_SCAN_MAX_ROWS + 1, "planned_scan"),
+    (None, "planned_scan"),
+])
+def test_scan_dispatches_on_limit(monkeypatch, limit, runs):
+    # Short scans take the pull assembler, long and unlimited ones the
+    # planner; limit <= 0 takes neither.
+    calls = []
+    for name in ("merge_scan", "planned_scan"):
+        real = getattr(iamdb, name)
+
+        def spy(*args, _name=name, _real=real, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(iamdb, name, spy)
+    db = make_tiny_db("iam")
+    for k in range(300):
+        db.put(k, 100)
+    assert db.scan(0, None, limit=limit) == \
+        [(k, 100) for k in range(300)][:limit]
+    assert calls == [runs]
+    calls.clear()
+    assert db.scan(0, None, limit=0) == db.scan(0, None, limit=-3) == []
+    assert calls == []
+    db.close()
 
 
 @settings(max_examples=25, deadline=None,
