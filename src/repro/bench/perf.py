@@ -19,6 +19,7 @@ end-to-end measurement this PR started from.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import random
@@ -69,6 +70,28 @@ def _time(fn: Callable[[], object], *, repeat: int = 3) -> float:
         if dt < best:
             best = dt
     return best
+
+
+#: Timed runs per side of each read kernel.  The read kernels are short
+#: (``read_scan`` is ~20 ms) and gate on a speedup floor, so one slow
+#: best-of-3 side on a shared host used to flip the verdict.
+_READ_REPEAT = 10
+
+
+@effects("HOST_TIME")
+def _time_pair(ref: Callable[[], object], new: Callable[[], object], *,
+               repeat: int = _READ_REPEAT) -> Tuple[float, float]:
+    """Best-of-``repeat`` wall seconds of ``ref()`` and of ``new()``, the
+    two timed alternately so a drift in host load hits both sides alike.
+    Each sample starts from a collected heap, so neither side pays for
+    the garbage the other left behind."""
+    best_ref = best_new = float("inf")
+    for _ in range(repeat):
+        gc.collect()
+        best_ref = min(best_ref, _time(ref, repeat=1))
+        gc.collect()
+        best_new = min(best_new, _time(new, repeat=1))
+    return best_ref, best_new
 
 
 def _entry(n_ops: int, seconds: float) -> Dict[str, float]:
@@ -294,10 +317,10 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
     _verify(want == got, "multi_get diverged from the scalar reference")
     _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
             "multi_get moved the simulated clock differently than the reference")
-    out["read_multi_get_reference"] = _entry(
-        n_reads, _time(lambda: reference_multi_get(db_ref, read_keys)))
-    out["read_multi_get_batched"] = _entry(
-        n_reads, _time(lambda: db_opt.multi_get(read_keys)))
+    ref_s, new_s = _time_pair(lambda: reference_multi_get(db_ref, read_keys),
+                              lambda: db_opt.multi_get(read_keys))
+    out["read_multi_get_reference"] = _entry(n_reads, ref_s)
+    out["read_multi_get_batched"] = _entry(n_reads, new_s)
     _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
             "timed multi_get runs ended at different simulated clocks")
     db_ref.close()
@@ -344,12 +367,13 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
             fn(start, None, limit=scan_limit)
 
     scan_rows = n_scans * scan_limit
-    out["read_scan_reference"] = _entry(
-        scan_rows, _time(lambda: drive_scans(
-            lambda lo, hi, limit: reference_scan(db_ref, lo, hi, limit=limit))))
-    out["read_scan_batched"] = _entry(
-        scan_rows, _time(lambda: drive_scans(
-            lambda lo, hi, limit: db_opt.scan(lo, hi, limit=limit))))
+    ref_s, new_s = _time_pair(
+        lambda: drive_scans(
+            lambda lo, hi, limit: reference_scan(db_ref, lo, hi, limit=limit)),
+        lambda: drive_scans(
+            lambda lo, hi, limit: db_opt.scan(lo, hi, limit=limit)))
+    out["read_scan_reference"] = _entry(scan_rows, ref_s)
+    out["read_scan_batched"] = _entry(scan_rows, new_s)
     _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
             "timed scan runs ended at different simulated clocks")
     db_ref.close()
@@ -373,11 +397,11 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
     _verify(reference_cluster_read_loop(cl_ref, c_keys[:100])
             == cl_opt.multi_get(c_keys[:100]),
             "cluster multi_get diverged from the per-key routing reference")
-    out["read_cluster_fanout_reference"] = _entry(
-        c_reads, _time(lambda: reference_cluster_read_loop(cl_ref, c_keys),
-                       repeat=2))
-    out["read_cluster_fanout_batched"] = _entry(
-        c_reads, _time(lambda: cl_opt.multi_get(c_keys), repeat=2))
+    ref_s, new_s = _time_pair(
+        lambda: reference_cluster_read_loop(cl_ref, c_keys),
+        lambda: cl_opt.multi_get(c_keys))
+    out["read_cluster_fanout_reference"] = _entry(c_reads, ref_s)
+    out["read_cluster_fanout_batched"] = _entry(c_reads, new_s)
     cl_ref.close()
     cl_opt.close()
     return out

@@ -9,6 +9,14 @@ Scheduling contract: the engine registers itself as the background pool's
 *provider*; whenever a background thread goes idle the pool asks
 :meth:`EngineBase.pick_background_job` for the next compaction.  Structural
 mutation happens when a job activates (see :mod:`repro.storage.background`).
+
+An engine file holds only its policy.  The machinery every engine shares
+lives here: the write gate (:meth:`EngineBase.write_gate`, plus the L0
+file-count gate and flush-to-L0 job of :class:`L0Engine`), the two
+data-movement primitives (:meth:`EngineBase._gather_runs` reads compaction
+inputs, :meth:`EngineBase._write_run` writes outputs; runs are cut with
+:func:`repro.table.merge.split_run`), and the table walk
+(:meth:`EngineBase._tables`) behind orphan GC and restore.
 """
 
 from __future__ import annotations
@@ -16,15 +24,20 @@ from __future__ import annotations
 import abc
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
+from repro.common.errors import InvariantViolation
+from repro.common.options import LsmOptions
 from repro.common.records import Key, RecordTuple
 from repro.storage.background import BackgroundJob
 from repro.storage.pacing import (
@@ -33,6 +46,7 @@ from repro.storage.pacing import (
     degraded_extra_delay_s,
 )
 from repro.storage.runtime import Runtime
+from repro.table.mstable import MSTable
 from repro.check.effects.registry import effects, observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +73,9 @@ class EngineBase(abc.ABC):
     """Common surface of every storage engine in this repo."""
 
     name: str = "engine"
+    #: The engine's options; every engine's options carry ``key_size`` and
+    #: ``bloom_bits_per_key`` (:class:`repro.common.options.TreeOptions`).
+    options: Any
 
     def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
@@ -131,29 +148,17 @@ class EngineBase(abc.ABC):
         self._trace("gate", "fault-degraded", streak=streak, delay_s=extra)
         return extra
 
-    def _pace_pressure(self) -> bool:
-        """True when background backlog warrants pacing foreground writes.
+    def _pace_policy(self, sustainable: float) -> Tuple[bool, float]:
+        """(pressure, admission rate) for the token bucket.
 
-        The base heuristic engages only when work is actually queued behind
-        the running jobs (the pool cannot keep up) -- engines with richer
-        structural signals (L0 file counts, pending compaction debt)
-        override this with their own pressure test.  Kept deliberately
-        conservative: token-bucket delays are accounted as gate delays, so
-        over-engaging the pacer would itself show up as instability.
+        The base engages only when work is actually queued behind the
+        running jobs (the pool cannot keep up) and then admits at the
+        observed sustainable rate.  Kept deliberately conservative:
+        token-bucket delays are accounted as gate delays, so over-engaging
+        the pacer would itself show up as instability.  :class:`L0Engine`
+        keys both on its L0 file count instead.
         """
-        return bool(self.runtime.pool.queue)
-
-    def _pace_rate(self, sustainable: float) -> float:
-        """Admission rate for the token bucket given the estimator's rate.
-
-        The base policy admits at the observed sustainable rate.  Engines
-        with graded structural pressure (L0 distance to the stop trigger,
-        debt over the soft limit) override this to *ramp*: brake gently at
-        the first sign of pressure and approach the sustainable rate only
-        as the structure nears its hard limit, so there is no single point
-        where admission falls off a cliff.
-        """
-        return sustainable
+        return bool(self.runtime.pool.queue), sustainable
 
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _token_pace(self, nbytes: int) -> float:
@@ -163,9 +168,10 @@ class EngineBase(abc.ABC):
         from full speed to ``delayed_write_fraction`` of bandwidth past a
         trigger, writes are paced smoothly at the rate the background
         machinery has recently proven it can absorb
-        (:class:`repro.storage.pacing.RateEstimator`).  Only engages while
-        :meth:`_pace_pressure` reports backlog; otherwise the bucket just
-        refills.  Returns the added latency (0.0 on the clean path).
+        (:class:`repro.storage.pacing.RateEstimator`), shaped by
+        :meth:`_pace_policy`.  Only engages while the policy reports
+        pressure; otherwise the bucket just refills.  Returns the added
+        latency (0.0 on the clean path).
         """
         pacer = self._pacer
         estimator = self._rate_estimator
@@ -174,9 +180,9 @@ class EngineBase(abc.ABC):
         pool = self.runtime.pool
         metrics = self.runtime.metrics
         estimator.observe(pool.bg_drained_s, metrics.user_bytes)
-        rate = self._pace_rate(estimator.rate())
+        pressure, rate = self._pace_policy(estimator.rate())
         now = self.runtime.clock.now
-        if not self._pace_pressure():
+        if not pressure:
             pacer.refill(now, rate)
             return 0.0
         delay = pacer.admit(nbytes, now, rate)
@@ -201,25 +207,42 @@ class EngineBase(abc.ABC):
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable."""
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
+    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def write_gate(self, nbytes: int) -> float:
-        """Admit a user write: fault degradation, token pacing, L0 backstop.
+        """Admit a user write: fault degradation, then token pacing.
 
         ``nbytes`` is the write's encoded size (pacing is by bytes).
         Returns the simulated latency spent gated (0.0 when unobstructed).
         """
         lat = self._fault_gate(nbytes)
         lat += self._token_pace(nbytes)
-        lat += self._l0_stop_backstop(nbytes)
         return lat
 
-    def _l0_stop_backstop(self, nbytes: int) -> float:
-        """Hard stall while the engine's flush target is full.
+    # ---------------------------------------------------------- data movement
+    def _gather_runs(self, tables: Iterable[MSTable],
+                     ) -> Tuple[List[List[RecordTuple]], float]:
+        """Compaction input: every sequence of ``tables`` as a sorted run,
+        in table then sequence order, and the background-read debt of
+        consuming them (charged table by table, in the same order)."""
+        runs: List[List[RecordTuple]] = []
+        debt = 0.0
+        for table in tables:
+            debt += table.compaction_read_debt()
+            runs.extend(seq.records for seq in table.sequences)
+        return runs, debt
 
-        Engines with an L0 file-count stop trigger override this; the base
-        has no such limit and returns 0.0.
-        """
-        return 0.0
+    def _write_run(self, records: List[RecordTuple], level: int,
+                   table: Optional[MSTable] = None) -> Tuple[MSTable, float]:
+        """Write one sorted run at ``level``: appended to ``table`` as a new
+        sequence, or as a fresh single-sequence table when ``table`` is
+        None or deleted.  Returns (the table written, device-time debt)."""
+        opts = self.options
+        if table is None or table.deleted:
+            return MSTable.build(self.runtime, records, key_size=opts.key_size,
+                                 bloom_bits_per_key=opts.bloom_bits_per_key,
+                                 level=level)
+        _, debt = table.append_sequence(records, level=level)
+        return table, debt
 
     # ------------------------------------------------------------- background
     @abc.abstractmethod
@@ -290,11 +313,6 @@ class EngineBase(abc.ABC):
         """
 
     @abc.abstractmethod
-    def scan_runs(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        """Eagerly-read sorted runs covering [lo, hi] (tests/diagnostics)."""
-
-    @abc.abstractmethod
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
         """Lazily-charging sorted iterators covering [lo, hi] (inclusive).
@@ -339,10 +357,157 @@ class EngineBase(abc.ABC):
         ``state`` is what :meth:`checkpoint_state` returned, or None to
         reset the engine to its pristine (empty) structure -- the crash
         path before any checkpoint exists.  Implementations release the
-        files of the structure they replace; output files of abandoned
-        in-flight jobs are swept separately by the DB's orphan collector.
+        files of the structure they replace (:meth:`_release_tables`);
+        output files of abandoned in-flight jobs are swept separately by
+        the DB's orphan collector.
         """
 
     @abc.abstractmethod
-    def live_file_ids(self) -> set:
+    def _tables(self) -> Iterator[MSTable]:
+        """Every table the current structure references, in structure order."""
+
+    def _release_tables(self) -> None:
+        """Delete every table of the structure (the prologue of a restore)."""
+        for table in self._tables():
+            table.delete()
+
+    def live_file_ids(self) -> Set[int]:
         """File ids referenced by the current structure (orphan-GC keep set)."""
+        return {t.file_id for t in self._tables() if not t.deleted}
+
+
+class L0Engine(EngineBase):
+    """An engine that flushes memtables into an L0 of overlapping files.
+
+    The leveled and FLSM engines share this write side: the memtable size,
+    the flush-to-L0 job and the L0 gate -- a token-bucket ramp from the
+    slowdown trigger toward the stop trigger, then a hard stall at the
+    stop trigger -- all keyed on one :meth:`_l0_files` count.  An engine
+    adds its own pending-compaction debt through
+    :meth:`_pending_compaction_bytes` (0 unless overridden).
+    """
+
+    options: LsmOptions
+
+    def __init__(self, options: LsmOptions, runtime: Runtime) -> None:
+        super().__init__(runtime)
+        self.options = options
+        #: Levels an in-flight compaction reads or writes (see
+        #: :meth:`_claim_job`).
+        self._busy_levels: Set[int] = set()
+        self._init_scheduling()
+
+    @property
+    def memtable_capacity(self) -> int:
+        return self.options.memtable_bytes
+
+    @abc.abstractmethod
+    def _l0_files(self) -> int:
+        """Files currently in L0 (what the L0 gate is keyed on)."""
+
+    @abc.abstractmethod
+    def _add_l0(self, table: MSTable) -> None:
+        """Link a freshly flushed table into L0."""
+
+    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
+        def start() -> float:
+            table, debt = self._write_run(records, 0)
+            self._add_l0(table)
+            return debt
+
+        return self.runtime.submit_job("flush->L0", start, high_priority=True)
+
+    def _claim_job(self, name: str, levels: Tuple[int, ...],
+                   start: Callable[[], float]) -> BackgroundJob:
+        """A compaction job holding ``levels`` busy until it completes."""
+        self._busy_levels.update(levels)
+
+        def done() -> None:
+            self._busy_levels.difference_update(levels)
+
+        return BackgroundJob(name, start, on_complete=done)
+
+    # ------------------------------------------------------------ write gate
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
+    def write_gate(self, nbytes: int) -> float:
+        """The shared admission (:meth:`EngineBase.write_gate`), then the
+        hard L0 stop."""
+        lat = self._fault_gate(nbytes)
+        lat += self._token_pace(nbytes)
+        lat += self._l0_stop_backstop(nbytes)
+        return lat
+
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
+    def _l0_stop_backstop(self, nbytes: int) -> float:
+        """Hard stall until an L0 compaction brings the file count down."""
+        opts = self.options
+        guard = 0
+        stall_s = 0.0
+        lat = 0.0
+        while self._l0_files() >= opts.l0_stop_trigger:
+            guard += 1
+            if guard > 100_000:
+                raise InvariantViolation("L0 stop stall did not converge")
+            step = self.runtime.pool.step_drain()
+            lat += step
+            stall_s += step
+            if step == 0.0 and not self.runtime.pool.busy:
+                break
+        if guard:
+            self.runtime.metrics.bump("stall:l0-stop")
+            if stall_s > 0.0:
+                self.runtime.metrics.add_stall("l0-stop", stall_s)
+                if self.runtime.tracer.enabled:
+                    self._trace("stall", "stall", reason="l0-stop",
+                                duration_s=stall_s)
+        return lat
+
+    def _pace_policy(self, sustainable: float) -> Tuple[bool, float]:
+        rate = self._pace_rate(sustainable)
+        return self._pace_pressure(), rate
+
+    def _pace_pressure(self) -> bool:
+        """Pace when L0 or pending debt crosses its slowdown trigger.
+
+        Engaging earlier (at the compaction trigger) over-paces: YCSB's
+        read-heavy phases drain debt through granted idle time on their
+        own, and every pacer delay is an accounted gate delay.  The band
+        thresholds mark where the structure demonstrably can't keep up.
+        """
+        opts = self.options
+        if self._l0_files() >= opts.l0_slowdown_trigger:
+            return True
+        soft = opts.pending_compaction_soft_bytes
+        return bool(soft and self._pending_compaction_bytes() > soft)
+
+    def _pace_rate(self, sustainable: float) -> float:
+        """Ramp the brake from the slowdown-band strength to the measured rate.
+
+        At the slowdown trigger the bucket admits at
+        ``bandwidth * delayed_write_fraction`` -- the rate of a LevelDB /
+        RocksDB slowdown band, but smooth (burst-absorbed, no on/off cliff).  As
+        L0 climbs toward the stop trigger (or debt doubles its soft
+        limit), the admitted rate ramps linearly down to the estimator's
+        sustainable rate, floored at ``delayed_write_fraction`` of the
+        band rate so a cold estimate can never freeze admission.
+        """
+        opts = self.options
+        bw = self.runtime.options.device.write_bandwidth
+        frac = opts.delayed_write_fraction
+        gentle = bw * frac
+        n0 = self._l0_files()
+        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
+        scale = 0.0
+        if n0 >= lo:
+            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
+        soft = opts.pending_compaction_soft_bytes
+        if soft:
+            debt = self._pending_compaction_bytes()
+            if debt > soft:
+                scale = max(scale, min(1.0, (debt - soft) / soft))
+        floor = min(max(sustainable, gentle * frac), gentle)
+        return gentle + scale * (floor - gentle)
+
+    def _pending_compaction_bytes(self) -> int:
+        """Bytes of compaction work the structure owes (0: no debt signal)."""
+        return 0

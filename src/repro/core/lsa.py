@@ -47,7 +47,7 @@ from repro.table.scan import chain_stream
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
-from repro.table.merge import merge_runs
+from repro.table.merge import merge_runs, split_run
 from repro.table.mstable import MSTable
 from repro.check.effects.registry import observation_only
 
@@ -189,10 +189,15 @@ class LsaTree(EngineBase):
         return child.nbytes >= self.options.node_capacity  # full child (Fig. 4)
 
     # -------------------------------------------------------------- placement
+    @staticmethod
+    def _node_tables(node: LsaNode) -> List[MSTable]:
+        """The node's table as compaction input (none for an empty node)."""
+        return [] if node.is_empty else [node.table]
+
     def _append_to_child(self, level: int, child: LsaNode, part: List[RecordTuple]) -> float:
-        table = child.ensure_table(self.runtime, key_size=self.options.key_size,
-                                   bloom_bits_per_key=self.options.bloom_bits_per_key)
-        seq, debt = table.append_sequence(part, level=level)
+        table, debt = self._write_run(part, level, child.table)
+        child.table = table
+        seq = table.sequences[-1]
         child.extend_range(part[0][KEY], part[-1][KEY])
         self.appends += 1
         self.runtime.metrics.bump("append")
@@ -208,17 +213,12 @@ class LsaTree(EngineBase):
     def _merge_internal_child(self, level: int, child: LsaNode,
                               part: List[RecordTuple]) -> float:
         """Rewrite an internal child as a single sequence (IAM's merge)."""
-        debt = 0.0
-        runs: List[List[RecordTuple]] = [part]
-        if not child.is_empty:
-            debt += child.table.compaction_read_debt()
-            runs.extend(s.records for s in child.table.sequences)
+        runs, debt = self._gather_runs(self._node_tables(child))
+        runs.insert(0, part)
         merged = merge_runs(runs, drop_tombstones=False,
                             snapshots=self.snapshots_provider())
         child.drop_table()
-        table = child.ensure_table(self.runtime, key_size=self.options.key_size,
-                                   bloom_bits_per_key=self.options.bloom_bits_per_key)
-        _, d = table.append_sequence(merged, level=level)
+        child.table, d = self._write_run(merged, level)
         debt += d
         child.extend_range(merged[0][KEY], merged[-1][KEY])
         self.merges += 1
@@ -237,11 +237,8 @@ class LsaTree(EngineBase):
         """
         opts = self.options
         level = self.n
-        debt = 0.0
-        runs: List[List[RecordTuple]] = [part]
-        if not child.is_empty:
-            debt += child.table.compaction_read_debt()
-            runs.extend(s.records for s in child.table.sequences)
+        runs, debt = self._gather_runs(self._node_tables(child))
+        runs.insert(0, part)
         merged = merge_runs(runs, drop_tombstones=True,
                             snapshots=self.snapshots_provider())
         lst = self.levels[level]
@@ -250,13 +247,11 @@ class LsaTree(EngineBase):
         if merged:
             total = sum(encoded_size(r, opts.key_size) for r in merged)
             chunk_bytes = opts.leaf_initial_bytes if total >= opts.node_capacity else total
-            for chunk in self._split_run(merged, chunk_bytes):
-                node = LsaNode(chunk[0][KEY], chunk[-1][KEY])
-                table = node.ensure_table(self.runtime, key_size=opts.key_size,
-                                          bloom_bits_per_key=opts.bloom_bits_per_key)
-                _, d = table.append_sequence(chunk, level=level)
+            for chunk in split_run(merged, chunk_bytes, opts.key_size):
+                table, d = self._write_run(chunk, level)
                 debt += d
-                level_insert_sorted(lst, node)
+                level_insert_sorted(lst, LsaNode(chunk[0][KEY], chunk[-1][KEY],
+                                                 table))
         self.merges += 1
         self.runtime.metrics.bump("merge:leaf")
         if self.runtime.tracer.enabled:
@@ -265,29 +260,11 @@ class LsaTree(EngineBase):
         self._sanitize("merge")
         return debt
 
-    def _split_run(self, records: List[RecordTuple],
-                   max_bytes: int) -> Iterator[List[RecordTuple]]:
-        key_size = self.options.key_size
-        chunk: List[RecordTuple] = []
-        acc = 0
-        for rec in records:
-            sz = encoded_size(rec, key_size)
-            if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
-                yield chunk
-                chunk = []
-                acc = 0
-            chunk.append(rec)
-            acc += sz
-        if chunk:
-            yield chunk
-
     def _create_node_from_run(self, level: int, records: List[RecordTuple]) -> float:
         """A run with no children becomes a new node (sequential fast path)."""
-        node = LsaNode(records[0][KEY], records[-1][KEY])
-        table = node.ensure_table(self.runtime, key_size=self.options.key_size,
-                                  bloom_bits_per_key=self.options.bloom_bits_per_key)
-        _, debt = table.append_sequence(records, level=level)
-        level_insert_sorted(self.levels[level], node)
+        table, debt = self._write_run(records, level)
+        level_insert_sorted(self.levels[level],
+                            LsaNode(records[0][KEY], records[-1][KEY], table))
         self.runtime.metrics.bump("new_node")
         return debt
 
@@ -332,10 +309,8 @@ class LsaTree(EngineBase):
             return level_overlapping(self.levels[level + 1],
                                      node.range_lo, node.range_hi)
 
-        debt = 0.0
-        if not node.is_empty:
-            debt += node.table.compaction_read_debt()
-            runs = [s.records for s in node.table.sequences]
+        runs, debt = self._gather_runs(self._node_tables(node))
+        if runs:
             records = merge_runs(runs, drop_tombstones=False,
                                  snapshots=self.snapshots_provider())
             node.drop_table()
@@ -367,12 +342,10 @@ class LsaTree(EngineBase):
         _, h = min(candidates)
         boundary = kids[h].range_lo
 
-        debt = 0.0
+        runs, debt = self._gather_runs(self._node_tables(node))
         records: List[RecordTuple] = []
-        if not node.is_empty:
-            debt += node.table.compaction_read_debt()
-            records = merge_runs([s.records for s in node.table.sequences],
-                                 drop_tombstones=False,
+        if runs:
+            records = merge_runs(runs, drop_tombstones=False,
                                  snapshots=self.snapshots_provider())
         cut = bisect.bisect_left(records, boundary, key=lambda r: r[KEY])
         rec_a, rec_b = records[:cut], records[cut:]
@@ -390,12 +363,9 @@ class LsaTree(EngineBase):
         # The node is gone but its halves are not yet inserted: a crash here
         # loses the in-flight rewrite (recovered from the checkpoint + WAL).
         self._crash_point("mid-split")
-        opts = self.options
         for new_node, recs in ((node_a, rec_a), (node_b, rec_b)):
             if recs:
-                table = new_node.ensure_table(self.runtime, key_size=opts.key_size,
-                                              bloom_bits_per_key=opts.bloom_bits_per_key)
-                _, d = table.append_sequence(recs, level=level)
+                new_node.table, d = self._write_run(recs, level)
                 debt += d
             level_insert_sorted(lst, new_node)
         self.splits += 1
@@ -604,19 +574,6 @@ class LsaTree(EngineBase):
                 plan.append(chain)
         return plan
 
-    def scan_runs(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for level in range(1, self.n + 1):
-            for node in level_overlapping(self.levels[level], lo_key, hi_key):
-                if node.is_empty:
-                    continue
-                node_runs, lat = node.table.read_range(lo_key, hi_key)
-                latency += lat
-                runs.extend(node_runs)
-        return runs, latency
-
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterator[RecordTuple]]:
         cursors = []
@@ -703,9 +660,7 @@ class LsaTree(EngineBase):
         }
 
     def restore_state(self, state: object) -> None:
-        for lvl in self.levels:
-            for node in lvl:
-                node.drop_table()
+        self._release_tables()
         if state is None:
             self.n = 1
             self.levels = [[], []]
@@ -723,7 +678,8 @@ class LsaTree(EngineBase):
             levels.append(nodes)
         self.levels = levels
 
-    def live_file_ids(self) -> Set[int]:
-        return {node.table.file_id
-                for lvl in self.levels for node in lvl
-                if node.table is not None and not node.table.deleted}
+    def _tables(self) -> Iterator[MSTable]:
+        for lvl in self.levels:
+            for node in lvl:
+                if node.table is not None:
+                    yield node.table

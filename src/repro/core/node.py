@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.records import KEY, Key, RecordTuple
-from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
 
 
@@ -88,12 +87,6 @@ class LsaNode:
         if self.table is not None:
             self.table.delete()
             self.table = None
-
-    def ensure_table(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> MSTable:
-        if self.table is None or self.table.deleted:
-            self.table = MSTable(runtime, key_size=key_size,
-                                 bloom_bits_per_key=bloom_bits_per_key)
-        return self.table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LsaNode([{self.range_lo!r},{self.range_hi!r}], "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.common.records import DELETE, KEY, KIND, Key, SEQ, VALUE
-from repro.table.scan import MergeScanner
+from repro.table.scan import _RawMerge
 
 _SENTINEL = object()
 
@@ -38,17 +38,22 @@ class DbIterator:
         self._served: object = _SENTINEL
         for stream in streams:
             stream.pin()
-        self._scanner = MergeScanner(streams)
+        self._streams = streams
+        #: The merge over ``streams``; built on the first pull after
+        #: creation or a seek, so its first charges land on that pull.
+        self._merge: Optional[_RawMerge] = None
 
     def __iter__(self) -> "DbIterator":
         return self
 
     def __next__(self) -> Tuple[Key, object]:
-        scanner = self._scanner
+        merge = self._merge
+        if merge is None:
+            merge = self._merge = _RawMerge(self._streams)
         hi_key = self._hi_key
         snapshot = self._snapshot
         while True:
-            rec = scanner.pull()
+            rec = merge.pull()
             if rec is None:
                 raise StopIteration
             key = rec[KEY]
@@ -74,6 +79,6 @@ class DbIterator:
         if self._lo_key is not None and target < self._lo_key:
             target = self._lo_key
         self._served = _SENTINEL
-        for stream in self._scanner.streams:
+        for stream in self._streams:
             stream.reseek(target)
-        self._scanner.reset()
+        self._merge = None

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, Iterator, List, Optional, Tuple, cast
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, sort_key
-from repro.core.engine import EngineBase
+from repro.core.engine import L0Engine
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.scan import chain_stream
-from repro.check.effects.registry import effects, observation_only
+from repro.check.effects.registry import observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
 BOTTOM_MERGE_FANIN = 8
@@ -53,14 +53,13 @@ class _Guard:
         return sum(t.data_bytes for t in self.tables)
 
 
-class FlsmEngine(EngineBase):
+class FlsmEngine(L0Engine):
     """Fragmented log-structured merge tree baseline."""
 
     name = "flsm"
 
     def __init__(self, options: LsmOptions, runtime: Runtime) -> None:
-        super().__init__(runtime)
-        self.options = options
+        super().__init__(options, runtime)
         n = options.max_levels
         #: Each level: ordered guard list.  Level 0 is a single implicit
         #: guard covering everything (flush target).
@@ -68,71 +67,20 @@ class FlsmEngine(EngineBase):
         #: Cached guard cut keys per level (guards[level][1:].lo).
         self._cuts: List[List] = [[] for _ in range(n)]
         self.level_bytes: List[int] = [0] * n
-        self._busy_levels: set = set()
         self.compactions = 0
-        self._init_scheduling()
+        #: The bottom-merge candidate (level, first over-full guard or
+        #: None), valid until the structure next changes (see
+        #: :meth:`_pick_bottom_merge`); None = walk again.
+        self._bottom_pick: Optional[Tuple[int, Optional[_Guard]]] = None
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.memtable_bytes
+    def _l0_files(self) -> int:
+        return len(self.guards[0][0].tables)
 
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
-        def start() -> float:
-            table, debt = MSTable.build(
-                self.runtime, records,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=0,
-            )
-            self.guards[0][0].tables.append(table)
-            self.level_bytes[0] += table.data_bytes
-            return debt
-
-        return self.runtime.submit_job("flush->L0", start, high_priority=True)
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _l0_stop_backstop(self, nbytes: int) -> float:
-        """Hard stall until L0's fragment count drops below the stop gate."""
-        opts = self.options
-        guard = 0
-        stall_s = 0.0
-        lat = 0.0
-        while len(self.guards[0][0].tables) >= opts.l0_stop_trigger:
-            guard += 1
-            if guard > 100_000:
-                raise InvariantViolation("FLSM L0 stall did not converge")
-            step = self.runtime.pool.step_drain()
-            lat += step
-            stall_s += step
-            if step == 0.0 and not self.runtime.pool.busy:
-                break
-        if stall_s > 0.0:
-            self.runtime.metrics.add_stall("l0-stop", stall_s)
-            if self.runtime.tracer.enabled:
-                self._trace("stall", "stall", reason="l0-stop",
-                            duration_s=stall_s)
-        return lat
-
-    def _pace_pressure(self) -> bool:
-        """Pace when L0's fragment count crosses the slowdown trigger."""
-        return len(self.guards[0][0].tables) >= self.options.l0_slowdown_trigger
-
-    def _pace_rate(self, sustainable: float) -> float:
-        """Ramp from the slowdown-band rate toward the measured sustainable
-        rate as L0's fragment count approaches the stop trigger (same
-        policy as the leveled engine, keyed on guard-0 fragments)."""
-        opts = self.options
-        bw = self.runtime.options.device.write_bandwidth
-        frac = opts.delayed_write_fraction
-        gentle = bw * frac
-        n0 = len(self.guards[0][0].tables)
-        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
-        scale = 0.0
-        if n0 >= lo:
-            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
-        floor = min(max(sustainable, gentle * frac), gentle)
-        return gentle + scale * (floor - gentle)
+    def _add_l0(self, table: MSTable) -> None:
+        self.guards[0][0].tables.append(table)
+        self.level_bytes[0] += table.data_bytes
+        self._bottom_pick = None
 
     # ------------------------------------------------------------- background
     def _level_threshold(self, level: int) -> int:
@@ -153,34 +101,29 @@ class FlsmEngine(EngineBase):
             return self._pick_bottom_merge()
         # Highest score, lowest level on ties.
         level = max(candidates, key=lambda c: c[1])[0]
-        self._busy_levels.add(level)
-        self._busy_levels.add(level + 1)
-
-        def start() -> float:
-            return self._compact(level)
-
-        def done() -> None:
-            self._busy_levels.discard(level)
-            self._busy_levels.discard(level + 1)
-
-        return BackgroundJob(f"flsm-compact:L{level}", start, on_complete=done)
+        return self._claim_job(f"flsm-compact:L{level}", (level, level + 1),
+                               lambda: self._compact(level))
 
     def _pick_bottom_merge(self) -> Optional[BackgroundJob]:
+        """Merge the first bottom-level guard holding too many fragments.
+
+        The candidate changes only when the structure does (a flush, a
+        compaction, a guard merge or a restore resets ``_bottom_pick``),
+        so the bottom guards are walked once per change, not per pump.
+        """
         bottom = self._deepest_level()
         if bottom in self._busy_levels:
             return None
-        for g in self.guards[bottom]:
-            if len(g.tables) > BOTTOM_MERGE_FANIN:
-                self._busy_levels.add(bottom)
-
-                def start(g=g, bottom=bottom) -> float:
-                    return self._merge_guard(bottom, g)
-
-                def done() -> None:
-                    self._busy_levels.discard(bottom)
-
-                return BackgroundJob(f"flsm-guard-merge:L{bottom}", start, on_complete=done)
-        return None
+        pick = self._bottom_pick
+        if pick is None or pick[0] != bottom:
+            over = (g for g in self.guards[bottom]
+                    if len(g.tables) > BOTTOM_MERGE_FANIN)
+            pick = self._bottom_pick = (bottom, next(over, None))
+        g = pick[1]
+        if g is None:
+            return None
+        return self._claim_job(f"flsm-guard-merge:L{bottom}", (bottom,),
+                               lambda: self._merge_guard(bottom, g))
 
     def _deepest_level(self) -> int:
         for i in range(self.options.max_levels - 1, -1, -1):
@@ -190,8 +133,12 @@ class FlsmEngine(EngineBase):
 
     # ---------------------------------------------------------------- compact
     def _ensure_guards(self, level: int, sample: List[RecordTuple]) -> None:
-        """Sample guard boundaries for a level on first use (PebblesDB-style)."""
-        if len(self.guards[level]) > 1 or not sample:
+        """Sample guard boundaries for a level on first use (PebblesDB-style).
+
+        A level that already holds data keeps its guards, even a single
+        one: resampling would drop the fragments stored under the old list.
+        """
+        if len(self.guards[level]) > 1 or not sample or self.level_bytes[level]:
             return
         want = min(self.options.level_size_multiplier ** level, max(1, len(sample) // 8))
         if want <= 1:
@@ -206,15 +153,8 @@ class FlsmEngine(EngineBase):
 
     def _compact(self, level: int) -> float:
         """Merge every fragment of ``level`` and append into level+1 guards."""
-        debt = 0.0
-        runs: List[List[RecordTuple]] = []
-        old_tables: List[MSTable] = []
-        for g in self.guards[level]:
-            for t in g.tables:
-                debt += t.compaction_read_debt()
-                for seq in t.sequences:
-                    runs.append(seq.records)
-                old_tables.append(t)
+        old_tables = [t for g in self.guards[level] for t in g.tables]
+        runs, debt = self._gather_runs(old_tables)
         if not runs:
             return 0.0
         merged = merge_runs(runs, snapshots=self.snapshots_provider())
@@ -230,12 +170,7 @@ class FlsmEngine(EngineBase):
             start = stop
             if not part:
                 continue
-            table, d = MSTable.build(
-                self.runtime, part,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=level + 1,
-            )
+            table, d = self._write_run(part, level + 1)
             debt += d
             g.tables.append(table)
             self.level_bytes[level + 1] += table.data_bytes
@@ -245,6 +180,7 @@ class FlsmEngine(EngineBase):
         for t in old_tables:
             t.delete()
         self.level_bytes[level] = 0
+        self._bottom_pick = None
         self.compactions += 1
         self.runtime.metrics.bump(f"flsm-compaction:L{level}")
         if self.runtime.tracer.enabled:
@@ -254,12 +190,7 @@ class FlsmEngine(EngineBase):
 
     def _merge_guard(self, level: int, g: _Guard) -> float:
         """In-place merge of one bottom-level guard's fragments."""
-        debt = 0.0
-        runs = []
-        for t in g.tables:
-            debt += t.compaction_read_debt()
-            for seq in t.sequences:
-                runs.append(seq.records)
+        runs, debt = self._gather_runs(g.tables)
         merged = merge_runs(runs, drop_tombstones=True,
                             snapshots=self.snapshots_provider())
         old_bytes = g.nbytes
@@ -267,17 +198,13 @@ class FlsmEngine(EngineBase):
             t.delete()
         g.tables = []
         if merged:
-            table, d = MSTable.build(
-                self.runtime, merged,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=level,
-            )
+            table, d = self._write_run(merged, level)
             debt += d
             g.tables = [table]
             self.level_bytes[level] += table.data_bytes - old_bytes
         else:
             self.level_bytes[level] -= old_bytes
+        self._bottom_pick = None
         self.runtime.metrics.bump("flsm-guard-merge")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "guard-merge", level=level,
@@ -297,21 +224,6 @@ class FlsmEngine(EngineBase):
                     if rec is not None:
                         return rec, latency
         return None, latency
-
-    def scan_runs(self, lo_key, hi_key) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for level in range(self.options.max_levels):
-            for g in self.guards[level]:
-                for table in g.tables:
-                    if lo_key is not None and table.max_key < lo_key:
-                        continue
-                    if hi_key is not None and table.min_key > hi_key:
-                        continue
-                    table_runs, lat = table.read_range(lo_key, hi_key)
-                    latency += lat
-                    runs.extend(table_runs)
-        return runs, latency
 
     @observation_only
     def scan_plan(self, lo_key, hi_key) -> List[object]:
@@ -420,10 +332,8 @@ class FlsmEngine(EngineBase):
         }
 
     def restore_state(self, state: object) -> None:
-        for lvl in self.guards:
-            for g in lvl:
-                for t in g.tables:
-                    t.delete()
+        self._release_tables()
+        self._bottom_pick = None
         if state is None:
             n = self.options.max_levels
             self.guards = [[_Guard(None)] for _ in range(n)]
@@ -445,6 +355,7 @@ class FlsmEngine(EngineBase):
         self.level_bytes = [sum(g.nbytes for g in lvl) for lvl in self.guards]
         self._busy_levels = set()
 
-    def live_file_ids(self) -> Set[int]:
-        return {t.file_id for lvl in self.guards for g in lvl
-                for t in g.tables if not t.deleted}
+    def _tables(self) -> Iterator[MSTable]:
+        for lvl in self.guards:
+            for g in lvl:
+                yield from g.tables

@@ -27,22 +27,21 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
-from repro.common.records import KEY, RecordTuple, encoded_size
-from repro.core.engine import EngineBase
+from repro.common.records import RecordTuple
+from repro.core.engine import L0Engine
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
-from repro.table.merge import merge_runs
+from repro.table.merge import merge_runs, split_run
 from repro.table.mstable import MSTable
 from repro.table.scan import chain_stream, table_stream
-from repro.check.effects.registry import effects, observation_only
+from repro.check.effects.registry import observation_only
 
 
-class LeveledLsm(EngineBase):
+class LeveledLsm(L0Engine):
     """Leveled-compaction LSM engine (LevelDB and RocksDB styles)."""
 
     def __init__(self, options: LsmOptions, runtime: Runtime) -> None:
-        super().__init__(runtime)
-        self.options = options
+        super().__init__(options, runtime)
         self.name = options.style
         n = options.max_levels
         #: levels[0] holds overlapping L0 files, newest last; deeper levels
@@ -50,105 +49,25 @@ class LeveledLsm(EngineBase):
         self.levels: List[List[MSTable]] = [[] for _ in range(n)]
         self.level_bytes: List[int] = [0] * n
         self.compact_pointer: List[Optional[object]] = [None] * n
-        self._busy_levels: set = set()
         self.flushes = 0
         self.compactions = 0
         self.trivial_moves = 0
-        self._init_scheduling()
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.memtable_bytes
+    def _l0_files(self) -> int:
+        return len(self.levels[0])
 
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
-        def start() -> float:
-            table, debt = MSTable.build(
-                self.runtime, records,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=0,
-            )
-            self.levels[0].append(table)
-            self.level_bytes[0] += table.data_bytes
-            self.flushes += 1
-            if self.runtime.tracer.enabled:
-                self._trace("flush", "flush", records=len(records),
-                            l0_files=len(self.levels[0]))
-            return debt
-
-        return self.runtime.submit_job("flush->L0", start, high_priority=True)
+    def _add_l0(self, table: MSTable) -> None:
+        self.levels[0].append(table)
+        self.level_bytes[0] += table.data_bytes
+        self.flushes += 1
+        if self.runtime.tracer.enabled:
+            self._trace("flush", "flush", records=table.n_records,
+                        l0_files=len(self.levels[0]))
 
     #: The shared gate, bound on this class as well: the per-layer tracer
     #: (``perfbench/trace.py``) wraps methods a class defines itself.
-    write_gate = EngineBase.write_gate
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _l0_stop_backstop(self, nbytes: int) -> float:
-        """Hard stall until an L0 compaction brings the file count down."""
-        opts = self.options
-        guard = 0
-        stall_s = 0.0
-        lat = 0.0
-        while len(self.levels[0]) >= opts.l0_stop_trigger:
-            guard += 1
-            if guard > 100_000:
-                raise InvariantViolation("L0 stop stall did not converge")
-            step = self.runtime.pool.step_drain()
-            lat += step
-            stall_s += step
-            if step == 0.0 and not self.runtime.pool.busy:
-                break
-        if guard:
-            self.runtime.metrics.bump("stall:l0-stop")
-            if stall_s > 0.0:
-                self.runtime.metrics.add_stall("l0-stop", stall_s)
-                if self.runtime.tracer.enabled:
-                    self._trace("stall", "stall", reason="l0-stop",
-                                duration_s=stall_s)
-        return lat
-
-    def _pace_pressure(self) -> bool:
-        """Pace when L0 or pending debt crosses its slowdown trigger.
-
-        Engaging earlier (at the compaction trigger) over-paces: YCSB's
-        read-heavy phases drain debt through granted idle time on their
-        own, and every pacer delay is an accounted gate delay.  The band
-        thresholds mark where the structure demonstrably can't keep up.
-        """
-        opts = self.options
-        if len(self.levels[0]) >= opts.l0_slowdown_trigger:
-            return True
-        soft = opts.pending_compaction_soft_bytes
-        return bool(soft and self._pending_compaction_bytes() > soft)
-
-    def _pace_rate(self, sustainable: float) -> float:
-        """Ramp the brake from the slowdown-band strength to the measured rate.
-
-        At the slowdown trigger the bucket admits at
-        ``bandwidth * delayed_write_fraction`` -- the rate of a LevelDB /
-        RocksDB slowdown band, but smooth (burst-absorbed, no on/off cliff).  As
-        L0 climbs toward the stop trigger (or debt doubles its soft
-        limit), the admitted rate ramps linearly down to the estimator's
-        sustainable rate, floored at ``delayed_write_fraction`` of the
-        band rate so a cold estimate can never freeze admission.
-        """
-        opts = self.options
-        bw = self.runtime.options.device.write_bandwidth
-        frac = opts.delayed_write_fraction
-        gentle = bw * frac
-        n0 = len(self.levels[0])
-        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
-        scale = 0.0
-        if n0 >= lo:
-            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
-        soft = opts.pending_compaction_soft_bytes
-        if soft:
-            debt = self._pending_compaction_bytes()
-            if debt > soft:
-                scale = max(scale, min(1.0, (debt - soft) / soft))
-        floor = min(max(sustainable, gentle * frac), gentle)
-        return gentle + scale * (floor - gentle)
+    write_gate = L0Engine.write_gate
 
     def _pending_compaction_bytes(self) -> int:
         """RocksDB's pending-debt estimate: bytes above each level threshold."""
@@ -178,17 +97,8 @@ class LeveledLsm(EngineBase):
         score, level = max(scores)  # highest score wins
         if score < 1.0:
             return None
-        self._busy_levels.add(level)
-        self._busy_levels.add(level + 1)
-
-        def start() -> float:
-            return self._compact(level)
-
-        def done() -> None:
-            self._busy_levels.discard(level)
-            self._busy_levels.discard(level + 1)
-
-        return BackgroundJob(f"compact:L{level}", start, on_complete=done)
+        return self._claim_job(f"compact:L{level}", (level, level + 1),
+                               lambda: self._compact(level))
 
     # --------------------------------------------------------------- compact
     def _overlapping(self, level: int, lo, hi) -> List[MSTable]:
@@ -264,12 +174,7 @@ class LeveledLsm(EngineBase):
                         to_level=level + 1)
             return 0.0
 
-        debt = 0.0
-        runs: List[List[RecordTuple]] = []
-        for t in inputs_up + inputs_down:
-            debt += t.compaction_read_debt()
-            for seq in t.sequences:
-                runs.append(seq.records)
+        runs, debt = self._gather_runs(inputs_up + inputs_down)
         bottom = all(not self.levels[j] for j in range(level + 2, self.options.max_levels))
         merged = merge_runs(runs, drop_tombstones=bottom,
                             snapshots=self.snapshots_provider())
@@ -284,13 +189,9 @@ class LeveledLsm(EngineBase):
         # the in-flight compaction's files as orphans for recovery to sweep.
         self._crash_point("mid-compact")
 
-        for chunk in self._split_records(merged, self.options.file_bytes):
-            table, d = MSTable.build(
-                self.runtime, chunk,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=level + 1,
-            )
+        for chunk in split_run(merged, self.options.file_bytes,
+                               self.options.key_size):
+            table, d = self._write_run(chunk, level + 1)
             debt += d
             self._insert_sorted(level + 1, table)
             self.level_bytes[level + 1] += table.data_bytes
@@ -304,23 +205,6 @@ class LeveledLsm(EngineBase):
                         inputs_up=len(inputs_up), inputs_down=len(inputs_down),
                         records=len(merged))
         return debt
-
-    def _split_records(self, records: List[RecordTuple], max_bytes: int):
-        """Chop a merged run into output files of roughly ``max_bytes``."""
-        key_size = self.options.key_size
-        chunk: List[RecordTuple] = []
-        acc = 0
-        for rec in records:
-            sz = encoded_size(rec, key_size)
-            if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
-                # Never split the versions of one key across files.
-                yield chunk
-                chunk = []
-                acc = 0
-            chunk.append(rec)
-            acc += sz
-        if chunk:
-            yield chunk
 
     def _insert_sorted(self, level: int, table: MSTable) -> None:
         lst = self.levels[level]
@@ -465,28 +349,6 @@ class LeveledLsm(EngineBase):
             return lst[idx]
         return None
 
-    def scan_runs(self, lo_key, hi_key) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for table in reversed(self.levels[0]):
-            if hi_key is not None and table.min_key > hi_key:
-                continue
-            if lo_key is not None and table.max_key < lo_key:
-                continue
-            table_runs, lat = table.read_range(lo_key, hi_key)
-            latency += lat
-            runs.extend(table_runs)
-        for level in range(1, self.options.max_levels):
-            for table in self.levels[level]:
-                if hi_key is not None and table.min_key > hi_key:
-                    break
-                if lo_key is not None and table.max_key < lo_key:
-                    continue
-                table_runs, lat = table.read_range(lo_key, hi_key)
-                latency += lat
-                runs.extend(table_runs)
-        return runs, latency
-
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
         for table in reversed(self.levels[0]):
@@ -572,9 +434,7 @@ class LeveledLsm(EngineBase):
         }
 
     def restore_state(self, state: object) -> None:
-        for lst in self.levels:
-            for t in lst:
-                t.delete()
+        self._release_tables()
         n = self.options.max_levels
         if state is None:
             self.levels = [[] for _ in range(n)]
@@ -589,5 +449,6 @@ class LeveledLsm(EngineBase):
         self.compact_pointer = list(sdict["compact_pointer"])
         self._busy_levels = set()
 
-    def live_file_ids(self) -> Set[int]:
-        return {t.file_id for lst in self.levels for t in lst if not t.deleted}
+    def _tables(self) -> Iterator[MSTable]:
+        for lst in self.levels:
+            yield from lst

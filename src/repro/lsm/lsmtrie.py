@@ -22,7 +22,7 @@ sequences are sorted by trie key.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation, ReproError
 from repro.common.options import LsaOptions
@@ -157,17 +157,13 @@ class LsmTrieEngine(EngineBase):
         debt = 0.0
         if node.nbytes >= self.options.node_capacity and node.depth < MAX_DEPTH:
             debt += self._spill(node)
-        if node.table is None or node.table.deleted:
-            node.table = MSTable(self.runtime, key_size=self.options.key_size,
-                                 bloom_bits_per_key=self.options.bloom_bits_per_key)
-        _, d = node.table.append_sequence(trecs, level=node.depth + 1)
+        node.table, d = self._write_run(trecs, node.depth + 1, node.table)
         self.runtime.metrics.bump("trie-append")
         return debt + d
 
     def _spill(self, node: _TrieNode) -> float:
         """Move a full node's records down to its TRIE_FANOUT children."""
-        debt = node.table.compaction_read_debt()
-        runs = [s.records for s in node.table.sequences]
+        runs, debt = self._gather_runs([node.table])
         bottom = not node.children and node.depth + 1 >= MAX_DEPTH
         merged = merge_runs(runs, drop_tombstones=bottom,
                             snapshots=self.snapshots_provider())
@@ -222,9 +218,6 @@ class LsmTrieEngine(EngineBase):
 
     @observation_only
     def scan_plan(self, lo_key, hi_key):
-        raise ScansUnsupportedError(NO_SCANS)
-
-    def scan_runs(self, lo_key, hi_key):
         raise ScansUnsupportedError(NO_SCANS)
 
     def scan_cursors(self, lo_key, hi_key):
@@ -283,10 +276,7 @@ class LsmTrieEngine(EngineBase):
         return snap(self.root)
 
     def restore_state(self, state: object) -> None:
-        for node in self._walk():
-            if node.table is not None:
-                node.table.delete()
-                node.table = None
+        self._release_tables()
         if state is None:
             self.root = _TrieNode(0)
             return
@@ -300,6 +290,7 @@ class LsmTrieEngine(EngineBase):
             return node
         self.root = build(state)
 
-    def live_file_ids(self) -> Set[int]:
-        return {node.table.file_id for node in self._walk()
-                if node.table is not None and not node.table.deleted}
+    def _tables(self) -> Iterator[MSTable]:
+        for node in self._walk():
+            if node.table is not None:
+                yield node.table

@@ -256,22 +256,6 @@ class Sequence:
                 return recs[idx], latency
         return None, latency
 
-    def read_range(self, runtime: Runtime, file_id: int, lo_key: Optional[Key],
-                   hi_key: Optional[Key]) -> Tuple[List[RecordTuple], float]:
-        """Records with lo <= key <= hi (inclusive bounds, None = open).
-
-        Charges the covering block reads; returns (records, latency).
-        """
-        i, j = self._record_span(lo_key, hi_key)
-        if i >= j:
-            return [], 0.0
-        latency = runtime.fg_read_blocks(file_id, self._blocks_for_span(i, j))
-        return self.records[i:j], latency
-
-    def read_all(self, runtime: Runtime, file_id: int) -> Tuple[List[RecordTuple], float]:
-        latency = runtime.fg_read_blocks(file_id, self.block_numbers())
-        return self.records, latency
-
     def cursor(self, runtime: Runtime, file_id: int, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None,
                readahead_blocks: int = 8) -> Iterator[RecordTuple]:

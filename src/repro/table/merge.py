@@ -25,9 +25,11 @@ All paths are record-identical to
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence as PySequence
+from typing import Iterable, Iterator, List, Optional, Sequence as PySequence
 
-from repro.common.records import DELETE, KEY, KIND, RecordTuple, SEQ, sort_key
+from repro.common.records import (
+    DELETE, KEY, KIND, RecordTuple, SEQ, encoded_size, sort_key,
+)
 
 
 def _merge2(a: List[RecordTuple], b: List[RecordTuple]) -> List[RecordTuple]:
@@ -159,6 +161,27 @@ def merge_runs(runs: PySequence[List[RecordTuple]], *,
             kept.append(rec)
     emit()
     return out
+
+
+def split_run(records: List[RecordTuple], max_bytes: int,
+              key_size: int) -> Iterator[List[RecordTuple]]:
+    """Chop a merged run into output chunks of roughly ``max_bytes``.
+
+    A chunk closes before the record that would take it past ``max_bytes``,
+    but never between two versions of one key.
+    """
+    chunk: List[RecordTuple] = []
+    acc = 0
+    for rec in records:
+        sz = encoded_size(rec, key_size)
+        if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
+            yield chunk
+            chunk = []
+            acc = 0
+        chunk.append(rec)
+        acc += sz
+    if chunk:
+        yield chunk
 
 
 def merged_size_records(runs: PySequence[List[RecordTuple]]) -> int:

@@ -256,28 +256,6 @@ class MSTable:
                 live = [g for g in live if g not in resolved]
         return live
 
-    def read_range(self, lo_key: Optional[Key],
-                   hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        """Range slice of every sequence (newest first); charges block reads."""
-        out: List[List[RecordTuple]] = []
-        latency = 0.0
-        for seq in reversed(self.sequences):
-            recs, lat = seq.read_range(self.runtime, self.file_id, lo_key, hi_key)
-            latency += lat
-            if recs:
-                out.append(recs)
-        return out, latency
-
-    def read_all_records(self) -> Tuple[List[List[RecordTuple]], float]:
-        """Every sequence's records (newest first); charges full reads."""
-        out = []
-        latency = 0.0
-        for seq in reversed(self.sequences):
-            recs, lat = seq.read_all(self.runtime, self.file_id)
-            latency += lat
-            out.append(recs)
-        return out, latency
-
     def cursor(self, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None) -> Iterator[RecordTuple]:
         """Merged lazily-charging iterator over the whole node's range slice.

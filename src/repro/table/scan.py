@@ -29,10 +29,11 @@ generators:
   where the batched scan wins its time.  Between two charges of a bulk run
   no other stream is pulled, so the charge order is untouched.
 
-:class:`MergeScanner` exposes the same machinery one record at a time for
-:class:`repro.db.iterator.DbIterator` (``seek`` repositions each chain via
-its cached node fence column and each memtable list by bisect, instead of
-re-running the engine's per-level walks).
+:class:`repro.db.iterator.DbIterator` pulls the top-level streams one
+record at a time through a :class:`_RawMerge` (``seek`` repositions each
+chain via its cached node fence column and each memtable list by bisect,
+instead of re-running the engine's per-level walks, and starts a fresh
+merge).
 """
 
 from __future__ import annotations
@@ -217,19 +218,21 @@ class _SeqState:
 
 
 class _RawMerge:
-    """Lazy mirror of the ``heapq.merge`` inside a multi-sequence node.
+    """Lazy mirror of a ``heapq.merge`` over pull states: the one inside a
+    multi-sequence node, or the iterator's merge of its top-level streams.
 
     The replacement for a returned head is pulled on the *next* ``pull()``
     ("owe" protocol), matching the suspended-generator timing of the scalar
-    merge so charges never reorder across sequences.
+    merge so charges never reorder across streams; abandoning the merge
+    mid-stream issues no further charges.
     """
 
     __slots__ = ("states", "heads", "skeys", "owe")
 
-    def __init__(self, states: List[_SeqState]) -> None:
+    def __init__(self, states: List[Any]) -> None:
         # Build order matches heapq.merge's first-next fill: one pull per
         # stream, in sequence order.
-        self.states: List[_SeqState] = []
+        self.states: List[Any] = []
         self.heads: List[RecordTuple] = []
         self.skeys: List[Tuple[Key, int]] = []
         for st in states:
@@ -472,61 +475,3 @@ def merge_scan(streams: list, *, snapshot: Optional[int] = None,
             return sink.out
         states[0].bulk_into(sink, None)
     return sink.out
-
-
-class MergeScanner:
-    """One-record-at-a-time view of the batched merge, for DbIterator.
-
-    Pulls are owe-lazy (a returned head's replacement is fetched on the next
-    call), so abandoning the scanner mid-stream issues no further charges.
-    """
-
-    __slots__ = ("streams", "states", "heads", "skeys", "owe", "built")
-
-    def __init__(self, streams: list) -> None:
-        self.streams = streams
-        self.states: List[object] = []
-        self.heads: List[RecordTuple] = []
-        self.skeys: List[Tuple[Key, int]] = []
-        self.owe = -1
-        self.built = False
-
-    def reset(self) -> None:
-        """Forget merge state (after the underlying streams were reseeked)."""
-        self.states = []
-        self.heads = []
-        self.skeys = []
-        self.owe = -1
-        self.built = False
-
-    def pull(self) -> Optional[RecordTuple]:
-        if not self.built:
-            for st in self.streams:
-                rec = st.pull()
-                if rec is not None:
-                    self.states.append(st)
-                    self.heads.append(rec)
-                    self.skeys.append(sort_key(rec))
-            self.built = True
-        owe = self.owe
-        if owe >= 0:
-            rec = self.states[owe].pull()
-            if rec is None:
-                del self.states[owe], self.heads[owe], self.skeys[owe]
-            else:
-                self.heads[owe] = rec
-                self.skeys[owe] = sort_key(rec)
-            self.owe = -1
-        heads = self.heads
-        if not heads:
-            return None
-        t = 0
-        if len(heads) > 1:
-            skeys = self.skeys
-            best = skeys[0]
-            for i in range(1, len(skeys)):
-                if skeys[i] < best:
-                    best = skeys[i]
-                    t = i
-        self.owe = t
-        return heads[t]

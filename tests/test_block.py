@@ -1,4 +1,4 @@
-"""Sequence: block layout, point gets, range reads, lazy cursors."""
+"""Sequence: block layout, point gets, lazy range cursors."""
 
 import pytest
 
@@ -95,21 +95,12 @@ def test_get_with_snapshot_picks_visible_version():
 def test_read_range_inclusive_bounds():
     rt = make_runtime()
     s = make_seq(records_of(20))
-    recs, lat = s.read_range(rt, 1, 5, 9)
-    assert [r[KEY] for r in recs] == [5, 6, 7, 8, 9]
-    assert lat > 0.0
-    recs, _ = s.read_range(rt, 1, None, 2)
-    assert [r[KEY] for r in recs] == [0, 1, 2]
-    recs, lat = s.read_range(rt, 1, 50, 60)
-    assert recs == [] and lat == 0.0
-
-
-def test_read_all_charges_every_block():
-    rt = make_runtime()
-    s = make_seq(records_of(12))
-    recs, _ = s.read_all(rt, 1)
-    assert len(recs) == 12
-    assert rt.metrics.cache_misses == s.n_blocks
+    assert [r[KEY] for r in s.cursor(rt, 1, 5, 9)] == [5, 6, 7, 8, 9]
+    assert rt.metrics.cache_misses > 0
+    assert [r[KEY] for r in s.cursor(rt, 1, None, 2)] == [0, 1, 2]
+    misses = rt.metrics.cache_misses
+    assert list(s.cursor(rt, 1, 50, 60)) == []
+    assert rt.metrics.cache_misses == misses
 
 
 def test_cursor_yields_range_in_order():

@@ -1,9 +1,9 @@
 """Byte-identity proof for the live write admission and the planned reads.
 
-Every engine that supports scans (iam, lsa, leveldb, rocksdb, flsm) runs a
-load and a mixed workload -- plus fault-injected, tight-L0 and job
-give-up variants -- on default options, then reads the store back three
-ways.  The digests (records, simulated clock, write amplification,
+Every engine (iam, lsa, leveldb, rocksdb, flsm, lsmtrie) runs a load and
+a mixed workload -- plus fault-injected, tight-L0 and job give-up
+variants -- on default options, then reads the store back: three ways
+for the engines that scan, by ``multi_get`` and ``get`` for LSM-trie.  The digests (records, simulated clock, write amplification,
 stall/gate-delay floats via ``float.hex``, job counts, read records and
 the page-cache trajectory) must equal ``tests/data/engine_golden.json``,
 which ``tests/engine_golden.py`` generated on the accepted reference tree.

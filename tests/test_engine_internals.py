@@ -1,4 +1,4 @@
-"""Cross-checks of engine internals: eager vs lazy scan paths, pool edges."""
+"""Engine internals: pool edges, describe, level search, run splitting."""
 
 import random
 
@@ -7,26 +7,11 @@ import pytest
 from repro.common.records import KEY
 from repro.storage.background import BackgroundPool
 from repro.storage.simdisk import SimDisk
+from repro.table.merge import split_run
 from repro.common.options import DeviceProfile
 from tests.conftest import make_tiny_db
 
 PROFILE = DeviceProfile("t", 0.0, 0.0, 1e6, 1e6)
-
-
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
-def test_scan_runs_agree_with_cursors(engine):
-    """The eager (scan_runs) and lazy (scan_cursors) paths must yield the
-    same multiset of records over the same range."""
-    db = make_tiny_db(engine)
-    rng = random.Random(3)
-    for _ in range(2500):
-        db.put(rng.randrange(800), rng.randrange(10, 90))
-    db.quiesce()
-    lo, hi = 100, 600
-    runs, _ = db.engine.scan_runs(lo, hi)
-    eager = sorted(r for run in runs for r in run)
-    lazy = sorted(r for cur in db.engine.scan_cursors(lo, hi) for r in cur)
-    assert eager == lazy
 
 
 def test_drain_queue_only_skips_provider():
@@ -99,7 +84,7 @@ def test_lsm_split_records_never_splits_key_versions():
             recs.append(make_put(k, seq, 64))
             seq -= 1
     recs.sort(key=lambda r: (r[0], -r[1]))
-    chunks = list(db.engine._split_records(recs, 300))
+    chunks = list(split_run(recs, 300, db.engine.options.key_size))
     assert len(chunks) > 1
     for a, b in zip(chunks, chunks[1:]):
         assert a[-1][KEY] != b[0][KEY]

@@ -25,11 +25,9 @@ def build_tree(fanout=10, node_capacity=4096) -> LsaTree:
 
 
 def filled_node(tree, lo, hi, keys, level):
-    node = LsaNode(lo, hi)
-    table = node.ensure_table(tree.runtime, key_size=KS, bloom_bits_per_key=14)
     recs = [make_put(k, i + 1, 64) for i, k in enumerate(sorted(keys))]
-    table.append_sequence(recs, level=level)
-    return node
+    table, _ = tree._write_run(recs, level)
+    return LsaNode(lo, hi, table)
 
 
 def make_figure3_tree() -> LsaTree:

@@ -86,17 +86,6 @@ def test_min_max_across_sequences():
     assert t.max_seq == 2
 
 
-def test_read_range_returns_runs_newest_first():
-    rt = make_runtime()
-    t = make_table(rt)
-    t.append_sequence(run([1, 2, 3], 1), level=1)
-    t.append_sequence(run([2, 4], 5), level=1)
-    runs, lat = t.read_range(2, 4)
-    assert lat > 0.0
-    assert [r[KEY] for r in runs[0]] == [2, 4]       # newest first
-    assert [r[KEY] for r in runs[1]] == [2, 3]
-
-
 def test_cursor_merges_sequences_sorted():
     rt = make_runtime(cache_bytes=100 * BLOCK)
     t = make_table(rt)
